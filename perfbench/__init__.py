@@ -1,0 +1,5 @@
+"""Repo benchmark: training, evaluation and serving of TP-GNN, end to end and per layer.
+
+Run ``python3 perfbench/run.py --workload <name> --seed <n> --seconds <s> --trace <0|1>``
+from the repository root; see ``perfbench/README.md``.
+"""
