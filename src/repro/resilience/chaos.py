@@ -843,13 +843,15 @@ def _journal_torn_tail(ctx: ChaosContext) -> tuple[str, str]:
 
     feed = ctx.feed(6)
     wal = ctx.workdir / "torn-wal"
-    with Journal(wal, fsync="off") as journal:
-        engine = StreamingEngine(ctx.model(), journal=journal)
-        for event in feed:
-            engine.ingest(event)
-        engine.flush()
-    # Tear the tail: the last record loses its final 5 bytes, exactly
-    # what a crash between write() and a completed flush leaves behind.
+    engine = StreamingEngine(ctx.model(), journal=Journal(wal, fsync="off"))
+    for event in feed:
+        engine.ingest(event)
+    engine.flush()
+    # The process dies here: no close(), so no fsync ever raised the
+    # high-water mark over these records.  Tear the tail: the last
+    # record loses its final 5 bytes, exactly what a crash mid-write
+    # leaves behind.
+    del engine
     tail = list_segments(wal)[-1]
     with open(tail, "r+b") as stream:
         stream.truncate(tail.stat().st_size - 5)

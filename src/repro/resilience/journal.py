@@ -19,17 +19,24 @@ forward for the next verifiable header.  The payload is a kind byte
 (event / observation) followed by a JSON header and the raw array
 buffers, dtype- and shape-tagged so decode is bit-exact.
 
-Durability is tiered by fsync policy (:data:`FSYNC_POLICIES`):
+Every append is one unbuffered ``write``, so a record survives
+*process* death under every policy.  Durability against power loss is
+tiered by fsync policy (:data:`FSYNC_POLICIES`):
 
 ``always``
     ``fsync`` after every append — survives power loss, slowest.
 ``interval``
-    ``flush`` to the OS after every append (survives *process* death)
-    and ``fsync`` at most every ``fsync_interval`` seconds (bounds
+    ``fsync`` at most every ``fsync_interval`` seconds (bounds
     data-at-risk under power loss).  The serving default.
 ``off``
-    No explicit flushing until rotation/close; fastest, for bulk
+    No fsync but on :meth:`Journal.sync` and close; for bulk
     replay/backfill where the source feed still exists.
+
+A **high-water mark** file beside the segments holds the last seq
+written out, rewritten at every fsync, rotation and close (never per
+append under ``interval``/``off``).  Records ending below it are
+reported as a ``truncated-tail`` gap, and a reopened writer never
+reuses a seq at or below it.
 
 Segments are named by the first sequence number they contain
 (``segment-<seq>.wal``), so :meth:`Journal.truncate_upto` can drop
@@ -52,7 +59,8 @@ import math
 import os
 import struct
 import zlib
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import lru_cache
 from pathlib import Path
 from time import monotonic
 from typing import Iterable
@@ -74,6 +82,9 @@ _HEADER_SIZE = _HEADER.size
 _CRC_PREFIX = struct.Struct("<QI")  # the crc covers seq + payload_len + payload
 _MAX_PAYLOAD = 64 * 1024 * 1024  # plausibility bound while resyncing
 _SEGMENT_GLOB = "segment-*.wal"
+_MARK_NAME = "high-water.mark"  # seq u64 LE | crc32 of those 8 bytes
+_U32 = struct.Struct("<I")
+_EVENT_KIND = bytes([RECORD_EVENT])
 
 
 # ----------------------------------------------------------------------
@@ -124,6 +135,20 @@ def _unpack_payload(payload: bytes) -> tuple[int, dict, list[np.ndarray]]:
     return kind, header, arrays
 
 
+@lru_cache(maxsize=256)
+def _descriptor(dtype: np.dtype, shape: tuple) -> str:
+    """``[dtype.str, shape]`` as JSON (``dtype.str`` is slow to build)."""
+    return '["%s",[%s]]' % (dtype.str, ",".join(str(d) for d in shape))
+
+
+@lru_cache(maxsize=4096)
+def _quote(text: str) -> str:
+    """``json.dumps(text)``, skipping the serializer for plain ids."""
+    if text.isascii() and text.isprintable() and '"' not in text and "\\" not in text:
+        return '"%s"' % text
+    return json.dumps(text)
+
+
 def encode_event(event) -> bytes:
     """Encode one :class:`~repro.serve.events.StreamEvent` payload.
 
@@ -136,13 +161,10 @@ def encode_event(event) -> bytes:
     features = event.node_features
     if features:
         nodes = sorted(features)
-        arrays = [np.ascontiguousarray(np.asarray(features[n])) for n in nodes]
-        descriptors = ",".join(
-            '["%s",[%s]]' % (a.dtype.str, ",".join(str(d) for d in a.shape))
-            for a in arrays
-        )
-        buffers = b"".join(a.tobytes() for a in arrays)
-        nodes_json = "[%s]" % ",".join(str(int(n)) for n in nodes)
+        arrays = [np.ascontiguousarray(features[n]) for n in nodes]
+        descriptors = ",".join([_descriptor(a.dtype, a.shape) for a in arrays])
+        buffers = b"".join([a.tobytes() for a in arrays])
+        nodes_json = "[%s]" % ",".join([str(int(n)) for n in nodes])
     else:
         descriptors, buffers, nodes_json = "", b"", "[]"
     time = float(event.time)
@@ -150,7 +172,7 @@ def encode_event(event) -> bytes:
     blob = (
         '{"sid":%s,"src":%d,"dst":%d,"time":%s,"label":%s,"nodes":%s,"arrays":[%s]}'
         % (
-            json.dumps(str(event.session_id)),
+            _quote(str(event.session_id)),
             event.src,
             event.dst,
             repr(time) if math.isfinite(time) else json.dumps(time),
@@ -159,7 +181,7 @@ def encode_event(event) -> bytes:
             descriptors,
         )
     ).encode("utf-8")
-    return bytes([RECORD_EVENT]) + struct.pack("<I", len(blob)) + blob + buffers
+    return b"".join((_EVENT_KIND, _U32.pack(len(blob)), blob, buffers))
 
 
 def decode_event(payload: bytes):
@@ -276,11 +298,12 @@ class JournalGap:
     """A quarantined byte range the scanner could not verify.
 
     ``reason`` is ``"torn-tail"`` (the gap runs to end-of-file — the
-    benign artifact of a crash mid-append) or ``"corrupt-record"`` (the
+    benign artifact of a crash mid-append), ``"corrupt-record"`` (the
     scanner resynced to a later valid record; whatever lived in
-    ``[start_offset, end_offset)`` is lost).  ``last_seq_before`` /
-    ``first_seq_after`` bound the sequence numbers that may be missing
-    (either may be None at a segment edge).
+    ``[start_offset, end_offset)`` is lost) or ``"truncated-tail"``
+    (records the high-water mark covers are gone from the end).
+    ``last_seq_before`` / ``first_seq_after`` bound the sequence
+    numbers that may be missing (either may be None at a segment edge).
     """
 
     segment: str
@@ -313,6 +336,16 @@ def _first_seq_of(path: Path) -> int:
 
 def _segment_name(first_seq: int) -> str:
     return f"segment-{first_seq:020d}.wal"
+
+
+def read_high_water(directory: str | Path) -> int:
+    """The journal's high-water mark; 0 if absent or unreadable, which
+    can only hide a lost tail, never invent one."""
+    path = Path(directory) / _MARK_NAME
+    data = path.read_bytes() if path.exists() else b""
+    if len(data) == 12 and data[8:] == _U32.pack(zlib.crc32(data[:8])):
+        return struct.unpack_from("<Q", data)[0]
+    return 0
 
 
 def list_segments(directory: str | Path) -> list[Path]:
@@ -397,7 +430,10 @@ def scan_journal(directory: str | Path, after_seq: int = 0) -> JournalScan:
     Gap classification is journal-wide: a gap that reaches the end of a
     *non-final* segment cannot be a torn tail (the writer had already
     rotated past it), so it is reported as ``"corrupt-record"`` with
-    the next segment's first record as its resync point.
+    the next segment's first record as its resync point.  A tail lost
+    below the high-water mark — torn or cut on a record boundary — is a
+    ``"truncated-tail"`` gap: those records had been written out, so
+    losing them is damage, not a crash artifact.
     """
     segments = list_segments(directory)
     records: list[JournalRecord] = []
@@ -424,6 +460,7 @@ def scan_journal(directory: str | Path, after_seq: int = 0) -> JournalScan:
             gaps.append(gap)
         records.extend(seg_records)
     _add_continuity_gaps(segments, records, gaps)
+    _add_high_water_gap(directory, segments, records, gaps)
     if after_seq:
         records = [record for record in records if record.seq > after_seq]
     return JournalScan(records=records, gaps=gaps)
@@ -460,6 +497,34 @@ def _add_continuity_gaps(
                 prev.segment, start, end, "corrupt-record", prev.seq, nxt.seq
             )
         )
+
+
+def _add_high_water_gap(
+    directory,
+    segments: list[Path],
+    records: list[JournalRecord],
+    gaps: list[JournalGap],
+) -> None:
+    """Report a tail lost below the high-water mark.
+
+    The journal ends at its last verified record, or just before the
+    final segment's name (what ``truncate_upto`` removed is not lost).
+    """
+    mark = read_high_water(directory)
+    end = records[-1].seq if records else 0
+    if segments:
+        end = max(end, _first_seq_of(segments[-1]) - 1)
+    if end >= mark:
+        return
+    for index, gap in enumerate(gaps):
+        if gap.reason == "torn-tail":
+            gaps[index] = replace(
+                gap, reason="truncated-tail", last_seq_before=end, first_seq_after=mark + 1
+            )
+            return
+    name = segments[-1].name if segments else _MARK_NAME
+    size = segments[-1].stat().st_size if segments else 0
+    gaps.append(JournalGap(name, size, size + 1, "truncated-tail", end, mark + 1))
 
 
 def read_records(
@@ -535,10 +600,15 @@ class Journal:
 
     # -- startup -------------------------------------------------------
     def _open_tail(self) -> None:
-        """Resume the newest segment, trimming a torn/corrupt tail."""
+        """Resume the newest segment, trimming a torn/corrupt tail.
+
+        The sequence resumes past the high-water mark even if records
+        below it were lost: a seq a checkpoint may anchor is never reused.
+        """
+        mark = read_high_water(self.directory)
         segments = list_segments(self.directory)
         if not segments:
-            self._next_seq = 1
+            self._next_seq = mark + 1
             self._start_segment()
             return
         newest = segments[-1]
@@ -552,14 +622,15 @@ class Journal:
             # append if it wants to report the torn record.)
             with open(newest, "r+b") as handle:
                 handle.truncate(keep)
-        self._next_seq = records[-1].seq + 1 if records else _first_seq_of(newest)
+        resume = records[-1].seq + 1 if records else _first_seq_of(newest)
+        self._next_seq = max(resume, mark + 1)
         self._segment_path = newest
-        self._handle = open(newest, "ab")
+        self._handle = open(newest, "ab", buffering=0)
         self._segment_size = newest.stat().st_size
 
     def _start_segment(self) -> None:
         self._segment_path = self.directory / _segment_name(self._next_seq)
-        self._handle = open(self._segment_path, "ab")
+        self._handle = open(self._segment_path, "ab", buffering=0)
         self._segment_size = self._segment_path.stat().st_size
 
     # -- append path ---------------------------------------------------
@@ -580,47 +651,57 @@ class Journal:
         if self._closed:
             raise ValueError(f"journal {self.directory} is closed")
         inject("journal.write", context=payload)
-        if self._segment_size >= self.segment_bytes and self._segment_size > 0:
+        if self._segment_size >= self.segment_bytes:
             self._rotate()
         seq = self._next_seq
         record = _frame(seq, payload)
-        self._handle.write(record)
+        # Unbuffered: the record is in the OS before the event is applied.
+        written = self._handle.write(record)
+        while written < len(record):
+            written += self._handle.write(record[written:])
         self._next_seq += 1
         self._segment_size += len(record)
         self._c_appends.inc()
         self._c_bytes.inc(len(record))
-        self._maybe_sync()
-        return seq
-
-    def _maybe_sync(self) -> None:
         if self.fsync == "always":
-            self.sync()
+            self._fsync()
         elif self.fsync == "interval":
-            # Flush to the OS every append (survives process death);
-            # fsync on the interval clock (bounds power-loss exposure).
-            self._handle.flush()
             now = monotonic()
             if now - self._last_fsync >= self.fsync_interval:
                 self._fsync(now)
+        return seq
 
     def _fsync(self, now: float | None = None) -> None:
+        seq = self.last_seq
         os.fsync(self._handle.fileno())
         self._last_fsync = monotonic() if now is None else now
         self._c_fsyncs.inc()
+        self._write_mark(seq)
+
+    def _write_mark(self, seq: int, durable: bool = False) -> None:
+        head = struct.pack("<Q", seq)
+        # Rewritten in place (no O_TRUNC): a crash never leaves it empty.
+        fd = os.open(self.directory / _MARK_NAME, os.O_WRONLY | os.O_CREAT, 0o644)
+        try:
+            os.pwrite(fd, head + _U32.pack(zlib.crc32(head)), 0)
+            if durable:
+                os.fsync(fd)
+        finally:
+            os.close(fd)
 
     def sync(self) -> None:
-        """Force the buffered tail to stable storage."""
+        """Force the written tail to stable storage."""
         if self._handle is not None and not self._handle.closed:
-            self._handle.flush()
             self._fsync()
 
     def _rotate(self) -> None:
         # The finished segment must be durable before the writer moves
         # on — otherwise truncate_upto could delete the only copy of
         # records whose bytes never reached the disk.
-        self._handle.flush()
         if self.fsync != "off":
             self._fsync()
+        else:
+            self._write_mark(self.last_seq)
         self._handle.close()
         self._start_segment()
         self._c_rotations.inc()
@@ -661,9 +742,9 @@ class Journal:
             return
         self._closed = True
         if self._handle is not None and not self._handle.closed:
-            self._handle.flush()
             os.fsync(self._handle.fileno())
             self._handle.close()
+        self._write_mark(self.last_seq, durable=True)
 
     def __enter__(self) -> "Journal":
         return self

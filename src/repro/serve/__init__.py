@@ -21,6 +21,7 @@ Layers, innermost out:
 
 from repro.serve.engine import StreamingEngine
 from repro.serve.events import StreamEvent, dataset_to_feed, iter_feed, session_events
+from repro.serve.fastpath import FastObserver
 from repro.serve.recovery import RecoveryReport, recover_engine
 from repro.serve.incremental import READ_MODES, IncrementalClassifier
 from repro.serve.metrics import LatencyReservoir, ServeMetrics
@@ -41,6 +42,7 @@ __all__ = [
     "session_events",
     "iter_feed",
     "IncrementalClassifier",
+    "FastObserver",
     "READ_MODES",
     "ServeMetrics",
     "LatencyReservoir",

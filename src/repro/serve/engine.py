@@ -12,6 +12,8 @@ async ingest, state caches) replace one seam at a time:
   eviction, out-of-order admission;
 * :class:`~repro.serve.incremental.IncrementalClassifier` — the O(1)
   model-state updates and the online/exact read paths;
+* :class:`~repro.serve.fastpath.FastObserver` — the raw-array apply
+  kernel, bitwise-identical to ``IncrementalClassifier.observe``;
 * :class:`~repro.serve.metrics.ServeMetrics` — operational counters
   and step-latency percentiles;
 * :meth:`StreamingEngine.checkpoint` / :meth:`StreamingEngine.restore`
@@ -34,6 +36,7 @@ from repro.resilience.breaker import CircuitBreaker
 from repro.resilience.errors import DeadlineExceededError
 from repro.resilience.faults import inject
 from repro.serve.events import StreamEvent
+from repro.serve.fastpath import FastObserver
 from repro.serve.incremental import IncrementalClassifier
 from repro.serve.metrics import ServeMetrics
 from repro.serve.router import SessionRouter
@@ -139,7 +142,18 @@ class StreamingEngine:
         if deadline_seconds is not None and deadline_seconds <= 0:
             raise ValueError(f"deadline_seconds must be positive, got {deadline_seconds}")
         self.classifier = IncrementalClassifier(model, missing_features=missing_features)
+        # The raw-array apply kernel, or the Tensor-path observe for
+        # configurations outside its envelope.
+        self._kernel = FastObserver.build(self.classifier) or self.classifier
         self.metrics = metrics if metrics is not None else ServeMetrics()
+        # Counter handles: ``metrics.x += n`` is a locked read and a
+        # locked write through a property, on every event.
+        counters = self.metrics._counters
+        self._c_ingested = counters["events_ingested"]
+        self._c_drops = tuple(
+            counters[name]
+            for name in ("events_dropped", "events_late_dropped", "events_overflow_dropped")
+        )
         self.learner = None
         if learner is not None:
             self.attach_learner(learner)
@@ -241,7 +255,7 @@ class StreamingEngine:
         validator configured, a quarantined event is counted and
         returns 0 without touching the router.
         """
-        self.metrics.events_ingested += 1
+        self._c_ingested.inc()
         if self.validator is not None:
             admitted = self.validator.admit(event)
             if admitted is None:
@@ -254,20 +268,17 @@ class StreamingEngine:
             # this same deterministic path, so drops/buffering recur
             # identically and recovery is bit-exact.
             self.journal.append_event(event)
-        before_dropped = self.router.stats.dropped
-        before_late = self.router.stats.late_dropped
-        before_overflow = self.router.stats.buffer_overflow_dropped
+        stats = self.router.stats
+        before = (stats.dropped, stats.late_dropped, stats.buffer_overflow_dropped)
         deliveries = self.router.route(event)
-        self.metrics.events_dropped += self.router.stats.dropped - before_dropped
-        self.metrics.events_late_dropped += self.router.stats.late_dropped - before_late
-        self.metrics.events_overflow_dropped += (
-            self.router.stats.buffer_overflow_dropped - before_overflow
-        )
-        applied = 0
+        after = (stats.dropped, stats.late_dropped, stats.buffer_overflow_dropped)
+        if after != before:
+            for counter, old, new in zip(self._c_drops, before, after):
+                if new != old:
+                    counter.inc(new - old)
         for state, ready in deliveries:
             self._apply(state, ready)
-            applied += 1
-        return applied
+        return len(deliveries)
 
     def _apply(self, state: SessionState, event: StreamEvent) -> None:
         if self.breaker is not None and not self.breaker.allow():
@@ -281,7 +292,7 @@ class StreamingEngine:
             start = _time.perf_counter()
             try:
                 inject("serve.apply")
-                self.classifier.observe(
+                self._kernel.observe(
                     state, (event.src, event.dst, event.time), event.node_features
                 )
             except Exception:
@@ -511,13 +522,16 @@ class StreamingEngine:
                 stored=stored_version,
                 current=current_version,
             )
-        model_state = {
-            key[len("model."):]: value
-            for key, value in arrays.items()
-            if key.startswith("model.")
-        }
+        # One pass groups the keys by owner — "model", "learner" or a
+        # session's index (a scan of every key per session is quadratic).
+        owned: dict[str, dict[str, np.ndarray]] = {}
+        for key, value in arrays.items():
+            owner, _, name = key.partition(".")
+            if owner == "session":
+                owner, _, name = name.partition(".")
+            owned.setdefault(owner, {})[name] = value
         if load_weights:
-            model.load_state_dict(model_state)
+            model.load_state_dict(owned.get("model", {}))
         config = meta.get("config", {})
         max_buffered = config.get("max_buffered", 4096)
         engine = cls(
@@ -533,13 +547,7 @@ class StreamingEngine:
         engine.metrics.load_counters(meta.get("metrics", {}))
         engine._journal_anchor = int(meta.get("journal_seq", 0) or 0)
         for index, session_id in enumerate(meta.get("sessions", [])):
-            prefix = f"session.{index}."
-            session_arrays = {
-                key[len(prefix):]: value
-                for key, value in arrays.items()
-                if key.startswith(prefix)
-            }
-            state = engine.classifier.restore(session_id, session_arrays)
+            state = engine.classifier.restore(session_id, owned.get(str(index), {}))
             evicted = engine.adopt_session(session_id, state)
             engine.metrics.sessions_restore_evicted += len(evicted)
         if learner is not None:
@@ -547,13 +555,7 @@ class StreamingEngine:
                 raise ValueError(
                     f"{path} carries no learner state but a learner was passed"
                 )
-            learner.restore(
-                {
-                    key[len("learner."):]: value
-                    for key, value in arrays.items()
-                    if key.startswith("learner.")
-                }
-            )
+            learner.restore(owned.get("learner", {}))
             engine.attach_learner(learner)
         return engine
 

@@ -10,13 +10,13 @@ bit-for-bit identical to an engine that never crashed — session arrays,
 learner weights, Adam moments, replay buffer and RNG included.
 
 Damage tolerance follows the journal scanner
-(:mod:`repro.resilience.journal`): a torn tail record — the normal
-artifact of dying mid-append — is dropped silently (the record never
-finished reaching stable storage, so it is as if the event was never
-accepted); a corrupt record *mid*-segment is real data loss, reported
-in :attr:`RecoveryReport.gaps` with exact byte offsets and replayed
-past (or escalated to :class:`~repro.resilience.IntegrityError` under
-``strict=True``).
+(:mod:`repro.resilience.journal`): a torn tail record above the
+high-water mark — the normal artifact of dying mid-append — is dropped
+as benign (it never finished reaching stable storage, so it is as if
+the event was never accepted); a corrupt record, or a tail lost below
+the mark, is real data loss, reported in :attr:`RecoveryReport.gaps`
+with exact byte offsets and replayed past (or escalated to
+:class:`~repro.resilience.IntegrityError` under ``strict=True``).
 
 Caveat for the ``buffer`` out-of-order policy: events still buffered
 when a checkpoint is written are anchored as applied but not part of

@@ -581,7 +581,8 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     """Raw-array version of :func:`sigmoid`'s stable formulation."""
     decay = np.exp(-np.abs(x))
     norm = 1.0 + decay
-    return np.where(x >= 0, 1.0 / norm, decay / norm)
+    # Each element is 1/norm or decay/norm; one division computes both.
+    return np.where(x >= 0, 1.0, decay) / norm
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:

@@ -8,7 +8,7 @@ import pytest
 from repro.cluster import ShardedCluster
 from repro.resilience.errors import CircuitOpenError, FaultInjected
 from repro.resilience.faults import FaultPlan, activate
-from repro.serve.events import dataset_to_feed
+from repro.serve.events import StreamEvent, dataset_to_feed
 from repro.telemetry import MetricRegistry
 from tests.serve.conftest import make_model, random_ctdn
 
@@ -129,6 +129,13 @@ def test_shard_breaker_isolates_failures():
             cluster.ingest_many(feed)
             cluster.barrier()
         assert cluster._shards[victim].engine.breaker.state == "open"
+        # Writes reaching the open breaker are shed, and the per-shard
+        # series counts them with the shard engine's own counter.
+        for k in range(4):
+            cluster.submit(StreamEvent(sessions[victim][0], 0, 1, 1e6 + k))
+        cluster.barrier()
+        shed = cluster.metrics.registry.counter("cluster/breaker_rejections", shard=str(victim))
+        assert shed.value == cluster._shards[victim].engine.metrics.breaker_rejections == 4
         with pytest.raises(CircuitOpenError):
             cluster.predict(sessions[victim][0])
         for shard_id, ids in sessions.items():

@@ -27,10 +27,12 @@ from repro.resilience import (
 from repro.resilience.journal import (
     RECORD_EVENT,
     RECORD_OBSERVATION,
+    _pack_payload,
     decode_event,
     decode_observation,
     encode_event,
     encode_observation,
+    read_high_water,
 )
 from repro.serve import StreamEvent
 
@@ -82,6 +84,26 @@ class TestCodecs:
             event = make_event(i, features=i % 2 == 0)
             back = decode_event(encode_event(event))
             assert events_equal(event, back)
+
+    def test_event_encoder_matches_the_generic_route(self):
+        # The hand-formatted hot-path header must stay byte-identical to
+        # json.dumps of the same header, or old journals stop decoding
+        # to the same events.
+        odd = [
+            StreamEvent('s"\\é\t', 1, 2, 3.5, {np.int64(2): [1.0, 2.0], 1: np.float32(3.0)}, 1),
+            StreamEvent("a b\x7f", 0, 1, 1e300, {0: np.arange(6.0).reshape(2, 3)[:, 1]}),
+            StreamEvent("plain", np.int64(4), 2, -0.0, {3: np.arange(3, dtype=">i4")}, 0),
+        ]
+        for event in [make_event(i, features=i % 2 == 0) for i in range(8)] + odd:
+            features = event.node_features or {}
+            nodes = sorted(features)
+            header = {
+                "sid": str(event.session_id), "src": int(event.src), "dst": int(event.dst),
+                "time": float(event.time), "label": event.label,
+                "nodes": [int(n) for n in nodes],
+            }
+            generic = _pack_payload(RECORD_EVENT, header, [np.asarray(features[n]) for n in nodes])
+            assert encode_event(event) == generic
 
     def test_observation_round_trip_bit_exact(self):
         for i in range(6):
@@ -138,10 +160,18 @@ class TestWriter:
         assert [record.seq for record in scan.records] == [1, 2, 3, 4, 5]
         assert not scan.gaps
 
+    @pytest.mark.parametrize("policy", FSYNC_POLICIES)
+    def test_append_reaches_the_os_before_returning(self, tmp_path, policy):
+        # Write-ahead: a record must be visible to another reader (and so
+        # survive the writer's process dying) before the event is applied.
+        journal = Journal(tmp_path / "wal", fsync=policy)
+        for i in range(3):
+            seq = journal.append_event(make_event(i))
+            assert [r.seq for r in scan_journal(tmp_path / "wal").records][-1] == seq
+        journal.close()
+
     def test_reopen_truncates_torn_tail_and_appends_clean(self, tmp_path):
-        with Journal(tmp_path / "wal") as journal:
-            for i in range(6):
-                journal.append_event(make_event(i))
+        crash_after_appends(tmp_path / "wal", 6)
         tail = list_segments(tmp_path / "wal")[-1]
         truncate_file(tail, keep_fraction=0.95)
         with Journal(tmp_path / "wal") as journal:
@@ -151,6 +181,43 @@ class TestWriter:
         scan = scan_journal(tmp_path / "wal")
         assert not scan.gaps  # reopen removed the damage
         assert [r.seq for r in scan.records] == [1, 2, 3, 4, 5, 6]
+
+    def test_reopen_never_reuses_a_seq_below_the_high_water_mark(self, tmp_path):
+        # Closed cleanly: all six records were acknowledged durable, so
+        # the torn 6th is damage, not a crash artifact.
+        with Journal(tmp_path / "wal", fsync="off") as journal:
+            for i in range(6):
+                journal.append_event(make_event(i))
+        assert read_high_water(tmp_path / "wal") == 6
+        truncate_file(list_segments(tmp_path / "wal")[-1], keep_fraction=0.95)
+        with Journal(tmp_path / "wal") as journal:
+            assert journal.last_seq == 6
+            assert journal.append_event(make_event(6)) == 7
+        scan = scan_journal(tmp_path / "wal")
+        assert [r.seq for r in scan.records] == [1, 2, 3, 4, 5, 7]
+        (gap,) = scan.corrupt_gaps()
+        assert (gap.last_seq_before, gap.first_seq_after) == (5, 7)
+
+    def test_high_water_mark_written_at_fsync_rotation_and_close(self, tmp_path):
+        wal = tmp_path / "wal"
+        journal = Journal(wal, fsync="off", segment_bytes=256)
+        journal.append_event(make_event(0))
+        assert read_high_water(wal) == 0  # off: no per-append mark write
+        while len(list_segments(wal)) == 1:
+            journal.append_event(make_event(journal.last_seq))
+        rotated_at = journal.last_seq - 1
+        assert read_high_water(wal) == rotated_at
+        journal.append_event(make_event(99))
+        journal.sync()
+        assert read_high_water(wal) == journal.last_seq
+        journal.append_event(make_event(100))
+        journal.close()
+        assert read_high_water(wal) == journal.last_seq
+        # interval: the mark moves with the fsync clock, not per append.
+        with Journal(tmp_path / "slow", fsync_interval=3600.0) as journal:
+            for i in range(4):
+                journal.append_event(make_event(i))
+            assert read_high_water(tmp_path / "slow") == 0
 
     def test_truncate_upto_drops_covered_segments_only(self, tmp_path):
         with Journal(tmp_path / "wal", segment_bytes=256) as journal:
@@ -214,6 +281,18 @@ class TestWriter:
         with activate(plan):
             with pytest.raises(FaultInjected):
                 list(read_records(tmp_path / "wal"))
+
+
+def crash_after_appends(directory, n_events: int) -> None:
+    """Append ``n_events`` and die without ``close()`` (a process crash).
+
+    Under ``fsync="off"`` with no rotation nothing raises the
+    high-water mark, so the records sit above it, as a crash leaves them.
+    """
+    journal = Journal(directory, fsync="off")
+    for i in range(n_events):
+        journal.append_event(make_event(i))
+    del journal
 
 
 def write_reference_journal(directory, n_events: int = 14):
@@ -283,7 +362,7 @@ class TestDamageProperties:
         check()
 
     def test_truncation_never_misparses(self, tmp_path):
-        from hypothesis import HealthCheck, given, settings, strategies as st
+        from hypothesis import HealthCheck, example, given, settings, strategies as st
 
         base = tmp_path / "wal"
         pristine = write_reference_journal(base)
@@ -295,6 +374,11 @@ class TestDamageProperties:
         @given(fraction=st.floats(min_value=0.0, max_value=1.0,
                                   exclude_max=True),
                which=st.integers(min_value=0, max_value=len(segments) - 1))
+        # The final segment cut exactly on a record boundary: every
+        # surviving record verifies, only the high-water mark shows the
+        # lost tail.
+        @example(fraction=0.642578125, which=2)
+        @example(fraction=0.8203125, which=2)
         def check(fraction, which):
             for path, data in originals.items():
                 path.write_bytes(data)
@@ -342,10 +426,37 @@ class TestGapClassification:
         assert gap.reason == "corrupt-record"
         assert gap.first_seq_after is not None  # resync bound from the next segment
 
+    def test_final_segment_cut_on_a_record_boundary_is_reported(self, tmp_path):
+        write_reference_journal(tmp_path / "wal")
+        segments = list_segments(tmp_path / "wal")
+        truncate_file(segments[-1], keep_fraction=0.642578125)
+        scan = scan_journal(tmp_path / "wal")
+        assert [r.seq for r in scan.records] == list(range(1, 13))
+        (gap,) = scan.gaps
+        assert gap.reason == "truncated-tail"
+        assert (gap.last_seq_before, gap.first_seq_after) == (12, 15)
+        assert "13..14" in gap.describe()
+        assert not scan.torn_tail and scan.corrupt_gaps() == [gap]
+
+    def test_segments_removed_behind_an_anchor_are_not_a_lost_tail(self, tmp_path):
+        wal = tmp_path / "wal"
+        with Journal(wal, segment_bytes=256) as journal:
+            while len(list_segments(wal)) < 3:
+                journal.append_event(make_event(journal.last_seq))
+            assert journal.truncate_upto(journal.last_seq) == 2
+        assert not scan_journal(wal).gaps
+        # Every record covered: a writer reopened on the bare mark starts
+        # an empty segment named past it, which ends the journal there.
+        mark = read_high_water(wal)
+        for path in list_segments(wal):
+            path.unlink()
+        with Journal(wal) as journal:
+            assert journal.last_seq == mark
+        assert list_segments(wal)[-1].name == f"segment-{mark + 1:020d}.wal"
+        assert not scan_journal(wal).gaps
+
     def test_torn_final_segment_is_benign(self, tmp_path):
-        with Journal(tmp_path / "wal", fsync="off") as journal:
-            for i in range(6):
-                journal.append_event(make_event(i))
+        crash_after_appends(tmp_path / "wal", 6)
         truncate_file(list_segments(tmp_path / "wal")[-1], keep_fraction=0.95)
         scan = scan_journal(tmp_path / "wal")
         assert scan.torn_tail

@@ -19,6 +19,7 @@ from repro.resilience import (
     IntegrityError,
     Journal,
     list_segments,
+    scan_segment,
     truncate_file,
 )
 from repro.serve import StreamingEngine, dataset_to_feed, recover_engine
@@ -235,11 +236,14 @@ class TestVersionGate:
 
 class TestDamageReports:
     def _journaled_run(self, tmp_path, n_events: int, **journal_kwargs):
+        """Journal ``n_events``, then crash: without ``close()`` nothing
+        raises the high-water mark over the tail, so tearing it is the
+        benign crash artifact rather than loss of durable records."""
         feed = make_feed(n_graphs=10)[:n_events]
-        with Journal(tmp_path / "wal", fsync="off", **journal_kwargs) as journal:
-            engine = StreamingEngine(make_model(), journal=journal)
-            for event in feed:
-                engine.ingest(event)
+        journal = Journal(tmp_path / "wal", fsync="off", **journal_kwargs)
+        engine = StreamingEngine(make_model(), journal=journal)
+        for event in feed:
+            engine.ingest(event)
         return feed
 
     def test_torn_tail_reported_and_dropped(self, tmp_path):
@@ -282,14 +286,31 @@ class TestDamageReports:
             recover_engine(tmp_path / "wal", make_model(), strict=True)
         # A torn tail alone never trips strict mode.
         other = tmp_path / "other"
-        feed = make_feed()
-        with Journal(other / "wal", fsync="off") as journal:
-            engine = StreamingEngine(make_model(), journal=journal)
-            for event in feed:
-                engine.ingest(event)
+        self._journaled_run(other, 56)
         truncate_file(list_segments(other / "wal")[-1], keep_fraction=0.97)
         _, report = recover_engine(other / "wal", make_model(), strict=True)
         assert report.torn_tail
+
+    def test_tail_lost_below_the_high_water_mark_is_reported(self, tmp_path):
+        feed = make_feed(n_graphs=10)[:12]
+        with Journal(tmp_path / "wal", fsync="off") as journal:
+            engine = StreamingEngine(make_model(), journal=journal)
+            for event in feed:
+                engine.ingest(event)
+        # Cut the last two (durable) records exactly on a record
+        # boundary: what survives parses cleanly.
+        segment = list_segments(tmp_path / "wal")[-1]
+        records, _ = scan_segment(segment)
+        with open(segment, "r+b") as stream:
+            stream.truncate(records[-2].offset)
+        _, report = recover_engine(tmp_path / "wal", make_model())
+        assert report.events_replayed == len(feed) - 2
+        assert not report.torn_tail
+        (gap,) = report.gaps
+        assert gap.reason == "truncated-tail"
+        assert "seqs lost: 11..12" in report.render()
+        with pytest.raises(IntegrityError, match="truncated-tail"):
+            recover_engine(tmp_path / "wal", make_model(), strict=True)
 
     def test_observations_without_learner_is_actionable(self, tmp_path):
         with Journal(tmp_path / "wal", fsync="off") as journal:
