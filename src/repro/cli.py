@@ -229,13 +229,6 @@ def build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--dataset", choices=DATASET_NAMES, default="HDFS")
     profile.add_argument("--model", choices=ALL_MODELS + PLUS_G_MODELS,
                          default="TP-GNN-SUM")
-    profile.add_argument("--engine", choices=("wave", "per-edge", "mega"),
-                         default=None,
-                         help="execution path to profile: 'wave'/'per-edge' "
-                              "force the per-graph engines (mega-batching "
-                              "off), 'mega' the cross-graph mega-batched "
-                              "trainer (default: the model's own defaults, "
-                              "i.e. mega-batched waves where supported)")
     profile.add_argument("--top", type=int, default=10,
                          help="rows in the top-ops table")
     profile.add_argument("--no-ops", dest="no_ops", action="store_true",
@@ -661,33 +654,13 @@ def _run_profile(args) -> None:
         time_dim=config.time_dim,
         snapshot_size=snapshot_size_for(args.dataset),
     )
-    from dataclasses import replace
-
-    engine = getattr(args, "engine", None)
-    train_config = config.train_config()
-    if engine == "mega":
-        if not getattr(model, "SUPPORTS_MEGABATCH", False):
-            print(f"--engine mega ignored: {args.model} has no mega-batched "
-                  "path; profiling the per-graph loop",
-                  file=sys.stderr)
-        train_config = replace(train_config, megabatch=True)
-    elif engine is not None:
-        # Attribute the per-graph engines in isolation: the mega path
-        # would otherwise fold whole minibatches into one plan.
-        train_config = replace(train_config, megabatch=False)
-        propagation = getattr(model, "propagation", None)
-        if propagation is None or not hasattr(propagation, "engine"):
-            print(f"--engine ignored: {args.model} has no propagation engine",
-                  file=sys.stderr)
-        else:
-            propagation.engine = engine
     print(
         f"profiling {args.model} on {args.dataset} "
         f"({len(train_data)} train graphs, {config.epochs} epoch(s))",
         file=sys.stderr,
     )
     with telemetry.capture(profile=not args.no_ops) as cap:
-        result = train_model(model, train_data, train_config)
+        result = train_model(model, train_data, config.train_config())
     print(f"loss {result.losses[0]:.3f} -> {result.losses[-1]:.3f} "
           f"({result.train_seconds:.2f}s)")
     print()

@@ -68,20 +68,10 @@ class TPGNNWithoutTemporalPropagation(GraphClassifierBase):
             node_dim=hidden_size, hidden_size=gru_hidden_size, rng=rng
         )
 
-    SUPPORTS_MEGABATCH = True
-
-    def embed(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Feed raw (encoded) node features through the edge-sequence GRU."""
-        if graph.num_edges == 0:
-            raise ValueError("variant requires at least one temporal edge per graph")
-        plan = graph.propagation_plan(rng=rng)
-        encoded = self.encoder(Tensor(graph.features)).tanh()
-        return self.extractor(encoded, graph, plan=plan)
-
     def embed_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None
     ) -> Tensor:
-        """Batched variant: one encode + one fused extractor scan."""
+        """Encoded node features through the edge-sequence GRU, one fused scan."""
         mega = mega_plan(graphs, rng=rng)
         if np.any(mega.member_edge_counts == 0):
             raise ValueError("variant requires at least one temporal edge per graph")
@@ -100,16 +90,10 @@ class TPGNNTempVariant(GraphClassifierBase):
         self.propagation = propagation
         self.readout = MeanReadout()
 
-    SUPPORTS_MEGABATCH = True
-
-    def embed(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Mean-pool time-blind temporal-propagation embeddings."""
-        return self.readout(self.propagation(graph, rng=rng))
-
     def embed_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None
     ) -> Tensor:
-        """Batched variant: merged-wave propagation + segment-mean readout."""
+        """Mean-pool time-blind propagation: merged waves + segment means."""
         mega = mega_plan(graphs, rng=rng)
         return self.readout.forward_mega(self.propagation(mega), mega)
 
@@ -132,16 +116,10 @@ class TPGNNTime2VecVariant(GraphClassifierBase):
         self.propagation = propagation
         self.readout = MeanReadout()
 
-    SUPPORTS_MEGABATCH = True
-
-    def embed(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Mean-pool full temporal-propagation embeddings."""
-        return self.readout(self.propagation(graph, rng=rng))
-
     def embed_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None
     ) -> Tensor:
-        """Batched variant: merged-wave propagation + segment-mean readout."""
+        """Mean-pool full propagation (with ``f(t)``): merged waves + segment means."""
         mega = mega_plan(graphs, rng=rng)
         return self.readout.forward_mega(self.propagation(mega), mega)
 

@@ -1,11 +1,14 @@
 """Shared interface for all graph classifiers in the reproduction.
 
 Every model — TP-GNN, its ablation variants, and all twelve baselines —
-implements :class:`GraphClassifierBase`: a single-graph forward that
-returns a raw logit, plus an ``embed`` method exposing the graph
-embedding ``g`` (used by the Table III ``+G`` wrappers and the case
-study).  The trainer in :mod:`repro.training` works against this
-interface only.
+implements :class:`GraphClassifierBase`, whose one forward is the
+batched :meth:`~GraphClassifierBase.forward_batch`: ``(B,)`` raw logits
+for a minibatch.  A single graph is a batch of one.  Models override
+either ``embed_batch`` (the TP-GNN family: one block-diagonal pass over
+a mega-plan) or ``embed`` (the baselines, whose minibatch embedding
+stacks per-graph calls).  Training, evaluation and online updates in
+:mod:`repro.training` / :mod:`repro.online` work against this interface
+only.
 """
 
 from __future__ import annotations
@@ -43,9 +46,10 @@ class MeanReadout(Module):
 class GraphClassifierBase(Module):
     """A binary dynamic-graph classifier.
 
-    Subclasses implement :meth:`embed` producing the graph embedding;
-    the shared classifier head (paper Eq. 11: ``sigmoid(W g + b)``,
-    returned here as the raw logit) lives in this base class.
+    Subclasses implement :meth:`embed` or :meth:`embed_batch` producing
+    graph embeddings; the shared classifier head (paper Eq. 11:
+    ``sigmoid(W g + b)``, returned here as the raw logit) lives in this
+    base class.
 
     Parameters
     ----------
@@ -55,34 +59,32 @@ class GraphClassifierBase(Module):
         Generator for the classifier head initialisation.
     """
 
-    #: True when :meth:`embed_batch` packs a whole minibatch into one
-    #: block-diagonal mega-plan (see :mod:`repro.graph.megaplan`); the
-    #: trainer folds its accumulate-then-average loop into a single
-    #: batched forward/backward for such models.
-    SUPPORTS_MEGABATCH = False
-
     def __init__(self, embedding_dim: int, rng: np.random.Generator | None = None):
         super().__init__()
         self.embedding_dim = embedding_dim
         self.classifier = Linear(embedding_dim, 1, rng=rng)
 
     def embed(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Return the graph embedding ``g`` (shape ``(embedding_dim,)``)."""
-        raise NotImplementedError
+        """Graph embedding ``g`` (shape ``(embedding_dim,)``): row 0 of a batch of one.
+
+        Subclasses override this *or* :meth:`embed_batch`.
+        """
+        return self.embed_batch([graph], rng=rng)[0]
 
     def embed_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None
     ) -> Tensor:
         """Graph embeddings of a minibatch — shape ``(B, embedding_dim)``.
 
-        Mega-batch-capable subclasses (``SUPPORTS_MEGABATCH = True``)
-        override this with a single block-diagonal pass equivalent to
-        ``B`` calls of :meth:`embed` (including rng-stream consumption,
-        so tie shuffling stays bit-compatible with the per-graph path).
+        By default the stacked :meth:`embed` of each graph in order (so
+        ``rng`` is consumed exactly as ``B`` single-graph calls would);
+        the TP-GNN family overrides it with one block-diagonal pass.
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} does not implement mega-batched embedding"
-        )
+        if type(self).embed is GraphClassifierBase.embed:
+            raise NotImplementedError(
+                f"{type(self).__name__} must override embed or embed_batch"
+            )
+        return ops.stack([self.embed(graph, rng=rng) for graph in graphs], axis=0)
 
     def forward_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None
@@ -93,8 +95,7 @@ class GraphClassifierBase(Module):
     def logit(self, embedding: Tensor) -> Tensor:
         """Classifier head on one graph embedding ``g`` — shape ``(1,)``.
 
-        Shared by the batch :meth:`forward` and the streaming engine,
-        so online and replay scoring apply the identical head.
+        The streaming engine's head: the same weights as :meth:`logits`.
         """
         return self.classifier(embedding.reshape(1, self.embedding_dim)).reshape(1)
 
@@ -109,8 +110,8 @@ class GraphClassifierBase(Module):
         )
 
     def forward(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Return the raw classification logit for ``graph`` (scalar tensor)."""
-        return self.logit(self.embed(graph, rng=rng))
+        """Raw classification logit for ``graph`` — shape ``(1,)``, a batch of one."""
+        return self.forward_batch([graph], rng=rng)
 
     def predict_proba(self, graph: CTDN) -> float:
         """Probability that ``graph`` is positive (label 1)."""

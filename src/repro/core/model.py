@@ -18,7 +18,7 @@ from repro.core.base import GraphClassifierBase
 from repro.core.extractor import GlobalTemporalExtractor
 from repro.core.propagation import TemporalPropagationGRU, TemporalPropagationSum
 from repro.graph.ctdn import CTDN
-from repro.graph.megaplan import MegaPlan, mega_plan
+from repro.graph.megaplan import mega_plan
 from repro.tensor import Tensor
 
 UPDATERS = {"sum": TemporalPropagationSum, "gru": TemporalPropagationGRU}
@@ -57,8 +57,6 @@ class TPGNN(GraphClassifierBase):
     True
     """
 
-    SUPPORTS_MEGABATCH = True
-
     def __init__(
         self,
         in_features: int,
@@ -91,43 +89,23 @@ class TPGNN(GraphClassifierBase):
             rng=rng,
         )
 
-    def node_embeddings(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Local node embedding matrix ``H`` from temporal propagation."""
-        return self.propagation(graph, rng=rng)
-
-    def embed(self, graph: CTDN, rng: np.random.Generator | None = None) -> Tensor:
-        """Graph embedding ``g``: propagation followed by the extractor.
-
-        ``rng`` (training only) shuffles same-timestamp edges, as the
-        paper does before each epoch to remove tie-order artifacts.
-        """
-        if graph.num_edges == 0:
-            raise ValueError("TPGNN requires at least one temporal edge per graph")
-        # One plan (tie-shuffled when rng is given) drives both components,
-        # so propagation and the extractor see the same evolution sequence;
-        # the deterministic plan is cached on the graph across epochs.
-        plan = graph.propagation_plan(rng=rng)
-        local = self.propagation(graph, plan=plan)
-        return self.extractor(local, graph, plan=plan)
-
     def embed_batch(
-        self,
-        graphs: list[CTDN],
-        rng: np.random.Generator | None = None,
-        mega: MegaPlan | None = None,
+        self, graphs: list[CTDN], rng: np.random.Generator | None = None
     ) -> Tensor:
         """Graph embeddings of a minibatch — shape ``(B, embedding_dim)``.
 
         Packs the graphs into one block-diagonal mega-plan (cached per
-        batch composition; see :mod:`repro.graph.megaplan`), runs
-        propagation over the shared ``(Σn, q)`` state in merged waves,
-        and extracts all ``B`` graph embeddings in one fused batched GRU
-        scan.  Row ``b`` equals ``embed(graphs[b])`` to machine
-        precision, and the rng stream is consumed exactly as ``B``
-        sequential :meth:`embed` calls would.
+        batch composition; a single graph is its own cached one-member
+        plan — see :mod:`repro.graph.megaplan`), runs propagation over
+        the shared ``(Σn, q)`` state in merged waves, and extracts all
+        ``B`` graph embeddings in one fused batched GRU scan.  One plan
+        drives both components, so they see the same evolution
+        sequence.  ``rng`` (training only) shuffles same-timestamp
+        edges member by member, as the paper does before each epoch to
+        remove tie-order artifacts; the stream is consumed exactly as
+        ``B`` single-graph calls would.
         """
-        if mega is None:
-            mega = mega_plan(graphs, rng=rng)
+        mega = mega_plan(graphs, rng=rng)
         if np.any(mega.member_edge_counts == 0):
             raise ValueError("TPGNN requires at least one temporal edge per graph")
         local = self.propagation(mega)

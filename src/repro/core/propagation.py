@@ -12,19 +12,20 @@ Theorem 1).  Two updaters are provided, matching Algorithm 1:
 Both touch each edge exactly once (O(m) updates), which the test suite
 asserts via :attr:`TemporalPropagationBase.last_update_count`.
 
-Two execution engines share the recurrence:
-
-* ``"wave"`` (default) — the edge list is partitioned into *waves*
-  (see :mod:`repro.graph.plan`): maximal chronological runs in which no
-  edge reads a node row written earlier in the same wave and no two
-  edges write the same target.  Each wave executes as one batched
-  gather → update → scatter kernel over the ``(n, q)`` node-state
-  matrix, with all edge-time embeddings computed in a single Time2Vec
-  call up front.  Within a wave every edge sees exactly the states the
-  per-edge recurrence would have shown it, so the result matches the
-  fold to machine precision (property-tested).
-* ``"per-edge"`` — the literal fold of :meth:`step` over the
-  chronological edges: the reference semantics and the streaming path.
+One executor runs the recurrence.  :meth:`TemporalPropagationBase.forward`
+takes a :class:`~repro.graph.megaplan.MegaPlan` — a single graph is
+wrapped as a one-member plan — whose edge list is partitioned into
+*waves* (see :mod:`repro.graph.plan`): maximal chronological runs in
+which no edge reads a node row written earlier in the same wave and no
+two edges write the same target.  Each wave executes as one batched
+gather → update → scatter kernel over the ``(Σn, q)`` node-state
+matrix, with all edge-time embeddings computed in a single Time2Vec
+call up front.  Within a wave every edge sees exactly the states the
+per-edge recurrence would have shown it, so the result matches
+:meth:`~TemporalPropagationBase.fold` — the literal fold of
+:meth:`~TemporalPropagationBase.step` over the chronological edges, kept
+as the reference semantics and the degraded-mode fallback — to machine
+precision (property-tested).
 
 Both updaters are *recurrences over the edge sequence*, so each exposes
 an incremental API used by the online-serving engine
@@ -56,7 +57,6 @@ import numpy as np
 from repro.graph.ctdn import CTDN
 from repro.graph.edge import TemporalEdge
 from repro.graph.megaplan import MegaPlan
-from repro.graph.plan import PropagationPlan
 from repro.nn import FeatureEncoder, GRUCell, Module, Time2Vec
 from repro.resilience.faults import inject
 from repro.tensor import Tensor, ops
@@ -121,8 +121,6 @@ class TemporalPropagationBase(Module):
         Generator for parameter initialisation.
     """
 
-    ENGINES = ("wave", "per-edge")
-
     def __init__(
         self,
         in_features: int,
@@ -138,21 +136,14 @@ class TemporalPropagationBase(Module):
         self.encoder = FeatureEncoder(in_features, hidden_size, rng=rng)
         self.time_encoder = Time2Vec(time_dim, rng=rng) if time_dim > 0 else None
         self.last_update_count = 0
-        self.engine = "wave"
         #: True when the most recent :meth:`forward` had to abandon the
-        #: wave engine (or plan construction) and replay per edge.
+        #: wave executor (or plan construction) and replay per edge.
         self.fallback = False
 
     @property
     def output_dim(self) -> int:
         """Width ``k`` of the local node embedding produced by forward."""
         raise NotImplementedError
-
-    def _ordered_edges(
-        self, graph: CTDN, rng: np.random.Generator | None
-    ) -> list[TemporalEdge]:
-        """Chronological edges, optionally shuffling timestamp ties."""
-        return graph.edges_sorted(rng=rng)
 
     def _encode_time(self, time: float, origin: float = 0.0) -> Tensor:
         """Time embedding ``f(t - origin)`` as a ``(1, d_t)`` tensor.
@@ -205,9 +196,9 @@ class TemporalPropagationBase(Module):
         raise NotImplementedError
 
     # ------------------------------------------------------------------
-    # Batch engines
+    # Batch executor and reference fold
     # ------------------------------------------------------------------
-    def _run_waves(self, state: PropagationState, plan: PropagationPlan) -> None:
+    def _run_waves(self, state: PropagationState, plan: MegaPlan) -> None:
         """Advance ``state`` by every edge of ``plan``, one wave at a time."""
         raise NotImplementedError
 
@@ -215,112 +206,81 @@ class TemporalPropagationBase(Module):
         self,
         graph: CTDN | MegaPlan,
         rng: np.random.Generator | None = None,
-        plan: PropagationPlan | None = None,
-        engine: str | None = None,
     ) -> Tensor:
-        """Compute the local node embedding matrix ``H`` of shape ``(n, k)``.
+        """Local node embeddings ``H`` — ``(n, k)``, or ``(Σn, k)`` for a mega-plan.
 
         Parameters
         ----------
         graph:
-            The dynamic network to embed — or a
-            :class:`~repro.graph.megaplan.MegaPlan` packing a whole
-            minibatch, which dispatches to :meth:`forward_mega` and
-            returns the packed ``(Σn, k)`` matrix.
+            A :class:`~repro.graph.megaplan.MegaPlan` packing a whole
+            minibatch, or one dynamic network, which runs as its cached
+            one-member plan (:meth:`~repro.graph.ctdn.CTDN.as_mega_plan`).
         rng:
             When given, edges sharing a timestamp are shuffled (the
-            paper applies this during training).  Ignored when ``plan``
-            is supplied.
-        plan:
-            Pre-built execution plan; by default the graph's cached
-            :meth:`~repro.graph.ctdn.CTDN.propagation_plan` is used.
-        engine:
-            ``"wave"`` for the batched kernels, ``"per-edge"`` for the
-            reference fold of :meth:`step`.  Defaults to
-            :attr:`engine` (``"wave"``).
+            paper applies this during training).  Ignored when ``graph``
+            is already a mega-plan.
+
+        Each merged wave is one gather → update → scatter kernel over
+        the shared state matrix.  Mega-plan times are session-relative
+        per member, so the state runs with origin 0 — Time2Vec sees the
+        same ``t - origin`` inputs as the per-edge fold.
 
         Degraded mode
         -------------
-        The per-edge fold is the reference semantics, so it doubles as
-        the recovery path: if plan construction fails, the chronological
-        edge list is folded directly; if the wave kernel fails mid-run,
-        the state is re-initialised and the plan's edge order replayed
-        per edge (identical order ⇒ identical result).  Either fallback
-        sets :attr:`fallback`, logs a warning, and bumps the
+        The per-edge :meth:`fold` is the reference semantics, so it
+        doubles as the recovery path: if plan construction fails, the
+        chronological edge list is folded directly; if the wave kernel
+        fails mid-run, the plan's edge order is replayed per edge
+        (identical order ⇒ identical result).  Either fallback sets
+        :attr:`fallback`, logs a warning, and bumps the
         ``resilience/fallback_engine_activations`` telemetry counter.
         """
-        if isinstance(graph, MegaPlan):
-            return self.forward_mega(graph, engine=engine)
-        engine = engine if engine is not None else self.engine
-        if engine not in self.ENGINES:
-            raise KeyError(f"unknown engine {engine!r}; choose from {self.ENGINES}")
         self.fallback = False
-        if plan is None:
-            try:
-                plan = graph.propagation_plan(rng=rng)
-            except Exception as error:
-                self._activate_fallback("plan", error)
-                state = self.init_state(graph.features)
-                for edge in self._ordered_edges(graph, rng):
-                    self.step(state, edge)
-                self.last_update_count = state.updates
-                return self.finalize(state)
-        state = self.init_state(graph.features)
-        if engine == "per-edge":
-            for edge in plan.edges():
-                self.step(state, edge)
+        if isinstance(graph, MegaPlan):
+            mega = graph
         else:
             try:
-                inject("propagation.wave")
-                self._run_waves(state, plan)
+                mega = graph.as_mega_plan(rng=rng)
             except Exception as error:
-                self._activate_fallback("wave", error)
-                state = self.init_state(graph.features)
-                for edge in plan.edges():
-                    self.step(state, edge)
+                self._activate_fallback("plan", error)
+                return self._fold(graph.features, graph.edges_sorted(rng=rng))
+        state = self.init_state(mega.features)
+        state.origin = 0.0
+        try:
+            inject("propagation.wave")
+            self._run_waves(state, mega)
+        except Exception as error:
+            self._activate_fallback("wave", error)
+            return self.fold(mega)
         self.last_update_count = state.updates
         return self.finalize(state)
 
-    def forward_mega(self, mega: MegaPlan, engine: str | None = None) -> Tensor:
-        """Node embeddings of a whole minibatch — one packed ``(Σn, k)`` matrix.
+    def fold(self, graph: CTDN | MegaPlan) -> Tensor:
+        """Reference semantics: the literal fold of :meth:`step` over the edges.
 
-        Executes the block-diagonal plan over one shared state matrix:
-        each merged wave is a single gather → update → scatter kernel
-        covering wave ``k`` of every member graph.  Members are
-        node-disjoint, so the result rows equal the per-graph
-        :meth:`forward` outputs exactly (slice with
-        :meth:`~repro.graph.megaplan.MegaPlan.member_node_slice`).
-
-        Mega-plan times are session-relative per member, so the state
-        runs with origin 0 — Time2Vec sees the same ``t - origin``
-        inputs as the per-graph path.  The wave-failure fallback replays
-        the merged order per edge, mirroring :meth:`forward`'s degraded
-        mode.
+        Same output as :meth:`forward`, one edge at a time — what the
+        equivalence suites pin the wave executor against and what the
+        degraded mode replays.  A graph folds its deterministic plan; a
+        mega-plan folds its merged order (tie-shuffled if it was): member
+        blocks are disjoint, so this reproduces each member's own
+        chronological recurrence exactly.
         """
-        engine = engine if engine is not None else self.engine
-        if engine not in self.ENGINES:
-            raise KeyError(f"unknown engine {engine!r}; choose from {self.ENGINES}")
-        self.fallback = False
-        state = self.init_state(mega.features)
-        state.origin = 0.0
-        if engine == "per-edge":
-            for edge in mega.edges():
-                self.step(state, edge)
-        else:
-            try:
-                inject("propagation.wave")
-                self._run_waves(state, mega)
-            except Exception as error:
-                self._activate_fallback("wave", error)
-                state = self.init_state(mega.features)
-                state.origin = 0.0
-                for edge in mega.edges():
-                    self.step(state, edge)
+        if isinstance(graph, MegaPlan):
+            return self._fold(graph.features, graph.edges(), origin=0.0)
+        return self._fold(graph.features, graph.propagation_plan().edges())
+
+    def _fold(
+        self, features: np.ndarray, edges, origin: float | None = None
+    ) -> Tensor:
+        state = self.init_state(features)
+        state.origin = origin
+        for edge in edges:
+            self.step(state, edge)
         self.last_update_count = state.updates
         return self.finalize(state)
 
     def _activate_fallback(self, stage: str, error: BaseException) -> None:
-        """Record a wave→per-edge engine downgrade (log + telemetry)."""
+        """Record a wave→per-edge downgrade (log + telemetry)."""
         self.fallback = True
         _log.warning(
             "%s failed (%s: %s); falling back to per-edge propagation",
@@ -363,15 +323,16 @@ class TemporalPropagationBase(Module):
         matrix.data[indices] = rows.data
         return matrix
 
-    def _batched_time_encodings(self, plan: PropagationPlan, origin: float) -> Tensor | None:
+    def _batched_time_encodings(self, plan: MegaPlan) -> Tensor | None:
         """All edge-time embeddings of ``plan`` in one Time2Vec call.
 
-        Time2Vec is purely elementwise, so the ``(m, d_t)`` batch is
-        bit-identical to ``m`` scalar calls — each wave slices its rows.
+        The plan's times are already session-relative.  Time2Vec is
+        purely elementwise, so the ``(m, d_t)`` batch is bit-identical
+        to ``m`` scalar calls — each wave slices its rows.
         """
         if self.time_encoder is None:
             return None
-        return self.time_encoder(plan.times - origin)
+        return self.time_encoder(plan.times)
 
     def _common_snapshot(self, state: PropagationState) -> dict[str, np.ndarray]:
         """Origin/update-count arrays shared by both updaters."""
@@ -502,13 +463,11 @@ class TemporalPropagationSum(TemporalPropagationBase):
             state.time_touched[edge.dst] = True
         state.updates += 1
 
-    def _run_waves(self, state: SumPropagationState, plan: PropagationPlan) -> None:
+    def _run_waves(self, state: SumPropagationState, plan: MegaPlan) -> None:
         """Batched SUM kernel: gather both endpoints, merge, scatter."""
         if plan.num_edges == 0:
             return
-        if state.origin is None:
-            state.origin = float(plan.times[0])
-        encodings = self._batched_time_encodings(plan, state.origin)
+        encodings = self._batched_time_encodings(plan)
         features = state.node_state
         memory = state.time_state
         for start, end in plan.waves():
@@ -576,7 +535,7 @@ class TemporalPropagationGRU(TemporalPropagationBase):
     Each edge gates the concatenation of the source embedding and the
     edge-time embedding into the target's hidden state, letting the
     model selectively retain information from influential nodes across
-    long interaction sequences.  The wave engine feeds a whole wave of
+    long interaction sequences.  The wave executor feeds a whole wave of
     messages through :class:`~repro.nn.GRUCell` as one batch.
     """
 
@@ -630,13 +589,11 @@ class TemporalPropagationGRU(TemporalPropagationBase):
         )
         state.updates += 1
 
-    def _run_waves(self, state: GruPropagationState, plan: PropagationPlan) -> None:
+    def _run_waves(self, state: GruPropagationState, plan: MegaPlan) -> None:
         """Batched GRU kernel: one cell invocation per wave."""
         if plan.num_edges == 0:
             return
-        if state.origin is None:
-            state.origin = float(plan.times[0])
-        encodings = self._batched_time_encodings(plan, state.origin)
+        encodings = self._batched_time_encodings(plan)
         hidden = state.node_state
         for start, end in plan.waves():
             message = ops.index_rows(hidden, plan.src[start:end])

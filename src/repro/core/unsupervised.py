@@ -85,24 +85,10 @@ class UnsupervisedTPGNN(Module):
         """Mean squared next-edge prediction error (differentiable).
 
         The GRU state after edge ``i`` predicts the embedding of edge
-        ``i+1``; graphs with a single edge have no transition and score 0.
+        ``i+1``; graphs with a single edge have no transition and score
+        0.  Row 0 of :meth:`prediction_loss_batch` over a batch of one.
         """
-        if graph.num_edges == 0:
-            raise ValueError("cannot score a graph with no edges")
-        plan = graph.propagation_plan(rng=rng)
-        node_embeddings = self.propagation(graph, plan=plan)
-        sequence = self.extractor._edge_matrix(node_embeddings, plan.src, plan.dst)
-        num_edges = plan.num_edges
-        if num_edges < 2:
-            return Tensor(np.zeros(1), requires_grad=False).sum()
-        states, _ = self.extractor.gru(
-            sequence.reshape(num_edges, 1, sequence.shape[1])
-        )
-        states = states.reshape(num_edges, self.extractor.hidden_size)
-        predicted = self.predictor(states[: num_edges - 1])
-        target = sequence[1:].detach()
-        difference = predicted - target
-        return (difference * difference).mean()
+        return self.prediction_loss_batch([graph], rng=rng)[0]
 
     def prediction_loss_batch(
         self, graphs: list[CTDN], rng: np.random.Generator | None = None
@@ -110,9 +96,7 @@ class UnsupervisedTPGNN(Module):
         """Per-graph pretext losses for a minibatch — shape ``(B,)``.
 
         One mega-batched propagation pass and one fused GRU scan over
-        the end-padded edge grid replace ``B`` :meth:`prediction_loss`
-        calls; entry ``b`` equals ``prediction_loss(graphs[b])`` to
-        machine precision (single-edge members score 0, as per graph).
+        the end-padded edge grid; single-edge members score 0.
         """
         mega = mega_plan(graphs, rng=rng)
         if np.any(mega.member_edge_counts == 0):

@@ -66,7 +66,7 @@ from repro.training.trainer import (
 #: Cache-key version tag.  Bump whenever a code change alters what a
 #: trial computes (training loop semantics, model construction,
 #: dataset generation), so stale cached cells are never reused.
-CODE_VERSION = "trial-v4"
+CODE_VERSION = "trial-v5"
 
 #: Default on-disk cache location, relative to the working directory.
 DEFAULT_CACHE_DIR = Path("results") / "cache"

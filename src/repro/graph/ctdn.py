@@ -56,6 +56,7 @@ class CTDN:
         "_edge_view",
         "_sorted_cache",
         "_plan_cache",
+        "_mega_cache",
     )
 
     def __init__(
@@ -80,10 +81,11 @@ class CTDN:
         self.graph_id = graph_id
         # Memoized chronological views; graphs are immutable after
         # construction (derived graphs are fresh CTDN instances), so
-        # both caches stay valid for the object's lifetime.
+        # the caches stay valid for the object's lifetime.
         self._edge_view: EdgeView | None = None
         self._sorted_cache: list[TemporalEdge] | None = None
         self._plan_cache = None
+        self._mega_cache = None
 
     @classmethod
     def from_store(
@@ -112,6 +114,7 @@ class CTDN:
         graph._edge_view = None
         graph._sorted_cache = None
         graph._plan_cache = None
+        graph._mega_cache = None
         return graph
 
     # ------------------------------------------------------------------
@@ -189,6 +192,26 @@ class CTDN:
         if rng is None:
             return self._plan_cache
         return self._plan_cache.tie_shuffled(rng)
+
+    def as_mega_plan(self, rng: np.random.Generator | None = None):
+        """This graph as a one-member :class:`~repro.graph.megaplan.MegaPlan`.
+
+        Every single-graph forward runs this plan through the batched
+        executor.  The deterministic one is cached here, beside
+        :meth:`propagation_plan`, rather than in the process-wide
+        composition LRU, so scoring any number of graphs one at a time
+        never evicts a training batch's cached composition; it shares
+        the feature matrix and the plan's arrays instead of copying
+        them.  With an ``rng`` (tie shuffle), a fresh one-member plan is
+        built over the cached layout.
+        """
+        from repro.graph.megaplan import MegaPlan
+
+        if self._mega_cache is None:
+            self._mega_cache = MegaPlan.from_graphs((self,))
+        if rng is None:
+            return self._mega_cache
+        return MegaPlan.from_graphs((self,), rng=rng, layout=self._mega_cache.layout)
 
     def timestamps(self) -> np.ndarray:
         """All edge timestamps in storage order (a fresh, writable array)."""

@@ -12,32 +12,36 @@ scatter kernel over the shared ``(Σn, q)`` state matrix is exactly the
 per-graph recurrence run in parallel — same semantics, ``B``-fold fewer
 kernel launches.
 
-A :class:`MegaPlan` quacks like a
-:class:`~repro.graph.plan.PropagationPlan` where it matters to the
-propagation engines — ``src``/``dst``/``times`` in merged-wave order
-plus ``wave_bounds``/``waves()``/``num_edges`` — so
-:meth:`~repro.core.propagation.TemporalPropagationBase._run_waves`
-executes it verbatim.  On top it carries the offset tables
+A :class:`MegaPlan` is what the propagation executor runs — the
+``src``/``dst``/``times`` arrays in merged-wave order plus
+``wave_bounds``/``waves()``/``num_edges`` — for a batch of any size,
+one included.  On top it carries the offset tables
 (:attr:`~BatchLayout.node_offsets` / :attr:`~BatchLayout.edge_offsets`),
 the member-major chronological endpoint arrays the global extractor
 consumes, and per-node member ids for batched segment readouts.
 
 Timestamps are stored *session-relative* (``t`` minus the member's
-first edge time): time encoding is per-session in the per-graph path
-(each graph's state carries its own origin), and subtracting the origin
-up front lets the whole mega-plan run with origin 0 while producing
+first edge time): time encoding is per-session (the streaming fold's
+state carries each session's own origin), and subtracting the origin up
+front lets the whole mega-plan run with origin 0 while producing
 bit-identical Time2Vec inputs.
 
 Tie shuffling composes per member: :meth:`MegaPlan.from_graphs` calls
 ``graph.propagation_plan(rng=rng)`` member by member in batch order —
-the exact calls, in the exact order, that the per-graph training loop
-makes — so the rng stream and every tie permutation are bit-identical
-to the per-graph path.
+the exact calls, in the exact order, that ``B`` single-graph forwards
+make — so the rng stream and every tie permutation are bit-identical
+whatever the batch size.
 
 Layouts and deterministic plans are cached per batch composition in a
-bounded LRU (:class:`MegaPlanCache`, keyed on member identity); hits
-and misses are exported through the shared metric registry as
-``propagation/megaplan_cache_hits`` / ``_misses``.
+bounded LRU (:class:`MegaPlanCache`, keyed on member identity), which
+the model path fills from a composition's second request on, so batches
+that never repeat never occupy it; hits and misses are exported through
+the shared metric registry as ``propagation/megaplan_cache_hits`` /
+``_misses``.  A single graph is a
+one-member plan too — that is how every single-graph forward runs — but
+it never enters the LRU: :meth:`~repro.graph.ctdn.CTDN.as_mega_plan`
+keeps it on the graph beside its propagation plan, so scoring many
+graphs one at a time cannot evict a training batch's composition.
 """
 
 from __future__ import annotations
@@ -60,13 +64,16 @@ class BatchLayout:
     composition (the cache exploits exactly this).
     """
 
-    __slots__ = ("graphs", "features", "node_offsets", "edge_offsets", "member_node_ids")
+    __slots__ = (
+        "features", "node_offsets", "edge_offsets", "edge_counts", "member_node_ids"
+    )
 
     def __init__(self, graphs: Sequence):
         graphs = tuple(graphs)
         if not graphs:
             raise ValueError("a mega-plan needs at least one member graph")
-        widths = {int(np.asarray(g.features).shape[1]) for g in graphs}
+        features = [np.asarray(g.features, dtype=np.float64) for g in graphs]
+        widths = {int(f.shape[1]) for f in features}
         if len(widths) > 1:
             raise ValueError(
                 f"member graphs disagree on feature width: {sorted(widths)}"
@@ -74,18 +81,17 @@ class BatchLayout:
         count = len(graphs)
         node_counts = np.fromiter((g.num_nodes for g in graphs), dtype=np.int64, count=count)
         edge_counts = np.fromiter((g.num_edges for g in graphs), dtype=np.int64, count=count)
-        self.graphs = graphs
-        self.features = np.concatenate(
-            [np.asarray(g.features, dtype=np.float64) for g in graphs], axis=0
-        )
+        # A lone member's rows are its own feature matrix: no copy.
+        self.features = features[0] if count == 1 else np.concatenate(features, axis=0)
         self.node_offsets = np.concatenate([[0], np.cumsum(node_counts)]).astype(np.int64)
         self.edge_offsets = np.concatenate([[0], np.cumsum(edge_counts)]).astype(np.int64)
+        self.edge_counts = edge_counts
         self.member_node_ids = np.repeat(np.arange(count, dtype=np.int64), node_counts)
 
     @property
     def num_members(self) -> int:
         """Batch size ``B``."""
-        return len(self.graphs)
+        return int(self.edge_counts.shape[0])
 
     @property
     def num_nodes(self) -> int:
@@ -105,7 +111,7 @@ class MegaPlan:
     ----------
     src, dst, times:
         ``(Σm,)`` arrays in **merged-wave order** — the view the
-        propagation engines execute.  Node ids carry the member's node
+        propagation executor runs.  Node ids carry the member's node
         offset; times are session-relative per member.
     wave_bounds:
         ``(W + 1,)`` boundaries of the merged waves (``W`` is the
@@ -134,6 +140,7 @@ class MegaPlan:
         "times",
         "wave_bounds",
         "_edges",
+        "_padded",
     )
 
     def __init__(self, member_plans: Sequence[PropagationPlan], layout: BatchLayout):
@@ -145,21 +152,39 @@ class MegaPlan:
             )
         self.layout = layout
         self.member_plans = member_plans
-        node_offsets = layout.node_offsets
-        edge_offsets = layout.edge_offsets
-        total = layout.num_edges
+        for b, plan in enumerate(member_plans):
+            if plan.num_edges != int(layout.edge_counts[b]):
+                raise ValueError(
+                    f"member {b} plan has {plan.num_edges} edges but the layout "
+                    f"expects {int(layout.edge_counts[b])}"
+                )
+        if len(member_plans) == 1:
+            # A one-member plan is its member's own schedule at offset 0:
+            # share the plan's arrays instead of copying them.
+            plan = member_plans[0]
+            origin = float(plan.times[0]) if plan.num_edges else 0.0
+            self.chrono_src = self.src = plan.src
+            self.chrono_dst = self.dst = plan.dst
+            self.chrono_times = self.times = plan.times - origin
+            self.wave_order = np.arange(plan.num_edges, dtype=np.int64)
+            self.wave_bounds = plan.wave_bounds
+        else:
+            self._merge(member_plans)
+        self._edges: list[TemporalEdge] | None = None
+        self._padded: tuple[np.ndarray, np.ndarray] | None = None
+
+    def _merge(self, member_plans: tuple[PropagationPlan, ...]) -> None:
+        """Offset the member blocks and interleave their waves."""
+        node_offsets = self.layout.node_offsets
+        edge_offsets = self.layout.edge_offsets
+        total = self.layout.num_edges
         chrono_src = np.empty(total, dtype=np.int64)
         chrono_dst = np.empty(total, dtype=np.int64)
         chrono_times = np.empty(total, dtype=np.float64)
         for b, plan in enumerate(member_plans):
-            start, end = int(edge_offsets[b]), int(edge_offsets[b + 1])
-            if plan.num_edges != end - start:
-                raise ValueError(
-                    f"member {b} plan has {plan.num_edges} edges but the layout "
-                    f"expects {end - start}"
-                )
             if plan.num_edges == 0:
                 continue  # an edgeless member is a valid (empty) block
+            start, end = int(edge_offsets[b]), int(edge_offsets[b + 1])
             chrono_src[start:end] = plan.src + node_offsets[b]
             chrono_dst[start:end] = plan.dst + node_offsets[b]
             chrono_times[start:end] = plan.times - float(plan.times[0])
@@ -188,7 +213,6 @@ class MegaPlan:
         self.src = chrono_src[self.wave_order]
         self.dst = chrono_dst[self.wave_order]
         self.times = chrono_times[self.wave_order]
-        self._edges: list[TemporalEdge] | None = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -204,15 +228,14 @@ class MegaPlan:
 
         With an ``rng``, each member's tie groups are shuffled via its
         own ``propagation_plan(rng=rng)`` in batch order — consuming the
-        rng stream exactly as the per-graph training loop does, so the
-        two paths stay bit-compatible.
+        rng stream exactly as ``B`` single-graph calls would.
         """
         layout = layout if layout is not None else BatchLayout(graphs)
-        plans = [graph.propagation_plan(rng=rng) for graph in layout.graphs]
+        plans = [graph.propagation_plan(rng=rng) for graph in graphs]
         return cls(plans, layout)
 
     # ------------------------------------------------------------------
-    # PropagationPlan-compatible views (what the engines execute)
+    # Schedule views (what the propagation executor runs)
     # ------------------------------------------------------------------
     @property
     def num_edges(self) -> int:
@@ -231,7 +254,7 @@ class MegaPlan:
             yield int(bounds[i]), int(bounds[i + 1])
 
     def edges(self) -> list[TemporalEdge]:
-        """The merged schedule as edge objects (per-edge fallback path).
+        """The merged schedule as edge objects (the reference fold's input).
 
         Offsets applied, session-relative times; member blocks are
         disjoint, so folding this order per edge reproduces each
@@ -280,7 +303,7 @@ class MegaPlan:
     @property
     def member_edge_counts(self) -> np.ndarray:
         """``(B,)`` edge counts per member."""
-        return np.diff(self.layout.edge_offsets)
+        return self.layout.edge_counts
 
     def member_node_slice(self, member: int) -> slice:
         """Row slice of member ``member`` in the packed ``(Σn, ·)`` matrices."""
@@ -301,8 +324,13 @@ class MegaPlan:
         member's length) point at row 0; their value never reaches a
         read-out position and their gradient is exactly zero, because
         the fused GRU backward's carry is zero past the last step whose
-        upstream gradient is taken.
+        upstream gradient is taken.  Computed once per plan.
         """
+        if self._padded is None:
+            self._padded = self._build_padded_index()
+        return self._padded
+
+    def _build_padded_index(self) -> tuple[np.ndarray, np.ndarray]:
         lengths = self.member_edge_counts
         batch = self.num_members
         steps = int(lengths.max()) if batch else 0
@@ -338,6 +366,9 @@ class MegaPlanCache:
             raise ValueError(f"capacity must be >= 1, got {capacity}")
         self.capacity = capacity
         self._entries: OrderedDict[tuple[int, ...], dict] = OrderedDict()
+        # Keys (member ids only) of compositions requested once through
+        # :meth:`batch_if_repeated`; bounded, holds no graphs or arrays.
+        self._seen: OrderedDict[tuple[int, ...], None] = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -345,6 +376,7 @@ class MegaPlanCache:
     def clear(self) -> None:
         """Drop every cached layout/plan."""
         self._entries.clear()
+        self._seen.clear()
 
     def batch(self, graphs: Sequence, rng: np.random.Generator | None = None) -> MegaPlan:
         """The mega-plan for ``graphs`` (tie-shuffled when ``rng`` given)."""
@@ -367,14 +399,46 @@ class MegaPlanCache:
             entry["plan"] = MegaPlan.from_graphs(entry["graphs"], layout=entry["layout"])
         return entry["plan"]
 
+    def batch_if_repeated(
+        self, graphs: Sequence, rng: np.random.Generator | None = None
+    ) -> MegaPlan:
+        """Like :meth:`batch`, but a composition enters the LRU on its second request.
+
+        Shuffled training batches, online-learner samples and one-off
+        evaluation chunks never come back; caching them would only pin
+        their concatenated features and member graphs until they push
+        out compositions that do repeat (unshuffled epochs, a validation
+        set scored every epoch).  A first request builds its plan
+        uncached and remembers only the key, in a record of at most
+        ``4 * capacity`` keys.
+        """
+        graphs = tuple(graphs)
+        key = tuple(id(graph) for graph in graphs)
+        if key in self._entries or key in self._seen:
+            self._seen.pop(key, None)
+            return self.batch(graphs, rng=rng)
+        self._seen[key] = None
+        while len(self._seen) > 4 * self.capacity:
+            self._seen.popitem(last=False)
+        _count("propagation/megaplan_cache_misses")
+        return MegaPlan.from_graphs(graphs, rng=rng)
+
 
 #: Process-wide composition cache used by the model/trainer batch path.
 _default_cache = MegaPlanCache()
 
 
 def mega_plan(graphs: Sequence, rng: np.random.Generator | None = None) -> MegaPlan:
-    """Batch ``graphs`` into one mega-plan via the process-wide cache."""
-    return _default_cache.batch(graphs, rng=rng)
+    """Batch ``graphs`` into one mega-plan via the process-wide cache.
+
+    A composition is cached from its second request on
+    (:meth:`MegaPlanCache.batch_if_repeated`).  A single graph bypasses
+    the LRU: it is its own cached one-member plan
+    (:meth:`~repro.graph.ctdn.CTDN.as_mega_plan`).
+    """
+    if len(graphs) == 1:
+        return graphs[0].as_mega_plan(rng=rng)
+    return _default_cache.batch_if_repeated(graphs, rng=rng)
 
 
 def _count(name: str) -> None:

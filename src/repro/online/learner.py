@@ -11,9 +11,9 @@ continual-learning discipline:
 2. **then train** — the session joins a bounded
    :class:`~repro.online.buffer.ReplayBuffer`, and every
    ``online_update_every`` examples one micro-batch update round runs:
-   a seeded sample from the buffer, gradients accumulated and averaged
-   exactly like the offline trainer, ``clip_grad_norm``, a finiteness
-   guard, one Adam step.
+   a seeded sample from the buffer, one batched forward/backward over
+   its mean loss, then the offline trainer's own guarded step
+   (``clip_grad_norm``, a finiteness guard, one Adam step).
 
 With ``online_update_every=0`` the learner never touches a parameter:
 the online path is then *exactly* offline inference (a property test
@@ -43,10 +43,10 @@ from repro.graph.ctdn import CTDN
 from repro.nn import bce_with_logits
 from repro.online.buffer import ReplayBuffer
 from repro.online.prequential import PrequentialMetrics
-from repro.optim import Adam, clip_grad_norm
+from repro.optim import Adam
 from repro.resilience.faults import inject
 from repro.tensor import no_grad
-from repro.training.trainer import TrainConfig
+from repro.training.trainer import TrainConfig, guarded_step
 
 
 def _json_array(payload) -> np.ndarray:
@@ -143,11 +143,12 @@ class OnlineLearner:
         """Run ``rounds`` micro-batch update rounds from the replay buffer.
 
         Each round mirrors one optimizer step of the offline trainer:
-        gradients from a seeded ``batch_size`` sample are accumulated,
-        averaged over the actual batch, globally clipped, and stepped
-        only if the norm is finite (a poisoned round is skipped and
-        counted in ``nonfinite_updates``, never stepped into the Adam
-        moments).  Returns how many rounds actually stepped.
+        one :meth:`forward_batch` over a seeded ``batch_size`` sample,
+        the batch-mean loss backpropagated, then
+        :func:`~repro.training.trainer.guarded_step` — globally clipped
+        and stepped only if the norm is finite (a poisoned round is
+        skipped and counted in ``nonfinite_updates``, never stepped into
+        the Adam moments).  Returns how many rounds actually stepped.
         """
         stepped = 0
         for _ in range(rounds):
@@ -159,15 +160,8 @@ class OnlineLearner:
                 self.model.train()
                 try:
                     self.optimizer.zero_grad()
-                    for graph in batch:
-                        loss = bce_with_logits(
-                            self.model(graph), np.array([float(graph.label)])
-                        )
-                        loss.backward()
-                    if len(batch) > 1:
-                        for param in self.model.parameters():
-                            if param.grad is not None:
-                                param.grad /= len(batch)
+                    targets = np.array([float(graph.label) for graph in batch])
+                    bce_with_logits(self.model.forward_batch(batch), targets).backward()
                     # Chaos hook: "nan"/"inf" plans poison the averaged
                     # gradients here; the finiteness guard below must
                     # then skip the round.
@@ -179,9 +173,8 @@ class OnlineLearner:
                             if param.grad is not None
                         ],
                     )
-                    norm = clip_grad_norm(self.model.parameters(), self.config.grad_clip)
+                    norm = guarded_step(self.model, self.optimizer, self.config.grad_clip)
                     if np.isfinite(norm):
-                        self.optimizer.step()
                         self.updates_applied += 1
                         stepped += 1
                         if telemetry.enabled():
@@ -196,7 +189,6 @@ class OnlineLearner:
                             telemetry.get_registry().counter(
                                 "online/update_skipped_nonfinite"
                             ).inc()
-                    self.optimizer.zero_grad()
                 finally:
                     if not was_training:
                         self.model.eval()

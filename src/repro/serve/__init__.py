@@ -24,7 +24,7 @@ from repro.serve.events import StreamEvent, dataset_to_feed, iter_feed, session_
 from repro.serve.fastpath import FastObserver
 from repro.serve.recovery import RecoveryReport, recover_engine
 from repro.serve.incremental import READ_MODES, IncrementalClassifier
-from repro.serve.metrics import LatencyReservoir, ServeMetrics
+from repro.serve.metrics import ServeMetrics
 from repro.serve.router import (
     OUT_OF_ORDER_POLICIES,
     OutOfOrderError,
@@ -45,7 +45,6 @@ __all__ = [
     "FastObserver",
     "READ_MODES",
     "ServeMetrics",
-    "LatencyReservoir",
     "SessionRouter",
     "SessionState",
     "RouterStats",

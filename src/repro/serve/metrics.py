@@ -6,11 +6,6 @@ by default; pass a shared registry to aggregate several engines into
 one export).  The original attribute API — ``metrics.events_ingested``,
 ``metrics.step_latency.percentile(99)`` — is preserved exactly, so the
 engine, its checkpoints and existing callers are unchanged.
-
-:class:`LatencyReservoir` is kept only as a deprecated alias of the
-shared :class:`~repro.telemetry.Histogram`; the bespoke ring-buffer and
-quantile code it used to carry now has a single implementation in
-:mod:`repro.telemetry.registry`.
 """
 
 from __future__ import annotations
@@ -32,16 +27,6 @@ _COUNTER_NAMES = (
     "deadline_breaches",
     "breaker_rejections",
 )
-
-
-class LatencyReservoir(Histogram):
-    """Deprecated: use :class:`repro.telemetry.Histogram`.
-
-    The serving layer's original fixed-size latency ring buffer is now
-    the telemetry histogram (same ``record``/``values``/``percentile``
-    surface plus exact running aggregates); this alias remains for
-    import compatibility only.
-    """
 
 
 def _counter_property(name: str) -> property:

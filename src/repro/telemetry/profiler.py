@@ -101,9 +101,9 @@ class OpProfiler:
                 inner = out._backward
                 if inner is not None:
 
-                    def timed_backward():
+                    def timed_backward(node):
                         begin = perf_counter()
-                        inner()
+                        inner(node)
                         stat.backward_seconds += perf_counter() - begin
                         stat.backward_calls += 1
 

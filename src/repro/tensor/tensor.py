@@ -95,7 +95,7 @@ class Tensor:
         self.requires_grad: bool = bool(requires_grad)
         self.grad: np.ndarray | None = None
         self.name = name
-        self._backward: Callable[[], None] | None = None
+        self._backward: Callable[[Tensor], None] | None = None
         self._parents: tuple[Tensor, ...] = ()
 
     # ------------------------------------------------------------------
@@ -129,7 +129,11 @@ class Tensor:
         if requires:
             out._parents = tuple(parents)
 
-            def _run() -> None:
+            # The closure takes its output tensor as an argument rather
+            # than capturing it: a captured ``out`` would make every tape
+            # node a reference cycle, left to the cyclic collector instead
+            # of being freed as soon as the loss is dropped.
+            def _run(out: Tensor) -> None:
                 grads = backward(out.grad)
                 for parent, grad in zip(out._parents, grads):
                     if grad is None or not parent.requires_grad:
@@ -226,7 +230,7 @@ class Tensor:
 
         for node in reversed(order):
             if node._backward is not None and node.grad is not None:
-                node._backward()
+                node._backward(node)
 
     def zero_grad(self) -> None:
         """Reset the accumulated gradient."""

@@ -59,14 +59,6 @@ class TrainConfig:
     online path then equals offline inference exactly).  They are unused
     by offline :func:`train_model` but participate in the trial-cache
     key like every other hyperparameter.
-
-    ``megabatch`` selects the mega-batched training path for models
-    that support it (``SUPPORTS_MEGABATCH``): each minibatch is packed
-    into one block-diagonal plan (:mod:`repro.graph.megaplan`) and
-    trained as a single batched forward/backward instead of
-    ``batch_size`` accumulated per-graph passes.  The two paths match
-    to 1e-9 in final weights (property-tested); set ``False`` to force
-    the per-graph reference loop.
     """
 
     epochs: int = 10
@@ -78,7 +70,6 @@ class TrainConfig:
     seed: int = 0
     replay_buffer: int = 256
     online_update_every: int = 0
-    megabatch: bool = True
 
 
 @dataclass
@@ -171,13 +162,17 @@ def train_model(
 ) -> TrainResult:
     """Train ``model`` in place on ``train_data``.
 
-    Gradients from up to ``batch_size`` graphs are accumulated and then
-    *averaged* over the actual batch (so the trailing partial batch
-    takes a step at the same effective scale as full batches) before the
-    global gradient norm is clipped.  A batch whose gradient norm is
-    NaN/inf is skipped entirely — its gradients are zeroed instead of
-    being stepped into the Adam moments — and counted in
-    ``TrainResult.nonfinite_batches``.
+    Each minibatch of up to ``batch_size`` graphs takes ONE batched
+    forward/backward through :meth:`~repro.core.base.GraphClassifierBase.forward_batch`
+    (one block-diagonal mega-plan for the TP-GNN family, stacked
+    per-graph embeddings for the baselines).  ``bce_with_logits`` over
+    the ``(B,)`` logits is the batch mean — the scale of accumulating
+    per-graph gradients and averaging over the actual batch, so the
+    trailing partial batch steps at the same effective scale — and tie
+    shuffling consumes the rng member by member in batch order.  Each
+    batch then takes one :func:`guarded_step`: a batch whose gradient
+    norm is NaN/inf is skipped instead of being stepped into the Adam
+    moments, and counted in ``TrainResult.nonfinite_batches``.
 
     When ``checkpoint_path`` is given, a resumable training-state
     archive is written every ``checkpoint_every`` epochs; if the file
@@ -185,19 +180,10 @@ def train_model(
     epoch, reproducing the uninterrupted trajectory bit-for-bit.
 
     When telemetry is enabled (see :func:`repro.telemetry.capture`),
-    the loop emits ``train/epoch/batch/forward|backward`` spans (or
-    ``train/epoch/megabatch/...`` on the mega-batched path) and records
-    per-batch loss and per-step gradient-norm histograms; when disabled
-    (the default) the instrumentation is a near-free no-op.
-
-    Mega-batching: when ``config.megabatch`` is set and the model
-    declares ``SUPPORTS_MEGABATCH``, each minibatch trains as ONE
-    block-diagonal forward/backward (see :mod:`repro.graph.megaplan`)
-    — ``bce_with_logits`` over the ``(B,)`` logits already averages
-    over the batch, which is exactly the accumulate-then-divide scale
-    of the per-graph loop, and the rng stream (graph shuffle + per-member
-    tie shuffles) is consumed identically, so checkpoints and final
-    weights stay compatible between the two paths.
+    the loop emits ``train/epoch/megabatch/forward|backward|optimizer_step``
+    spans and records per-graph loss and per-step gradient-norm
+    histograms; when disabled (the default) the instrumentation is a
+    near-free no-op.
     """
     if checkpoint_every < 1:
         raise ValueError(f"checkpoint_every must be >= 1, got {checkpoint_every}")
@@ -207,7 +193,6 @@ def train_model(
     if checkpoint_path is not None and Path(checkpoint_path).exists():
         result = load_train_state(checkpoint_path, model, optimizer, config, rng)
     model.train()
-    use_mega = config.megabatch and getattr(model, "SUPPORTS_MEGABATCH", False)
     instrumented = telemetry.enabled()
     loss_hist = grad_hist = None
     if instrumented:
@@ -229,18 +214,41 @@ def train_model(
                     else np.arange(len(train_data))
                 )
                 tie_rng = rng if config.shuffle_ties else None
-                epoch_fn = _megabatch_epoch if use_mega else _pergraph_epoch
-                epoch_loss = epoch_fn(
-                    model,
-                    train_data,
-                    config,
-                    indices,
-                    tie_rng,
-                    optimizer,
-                    result,
-                    loss_hist,
-                    grad_hist,
-                )
+                epoch_loss = 0.0
+                optimizer.zero_grad()
+                for chunk_start in range(0, len(indices), config.batch_size):
+                    chunk = indices[chunk_start : chunk_start + config.batch_size]
+                    batch = [train_data[int(index)] for index in chunk]
+                    with telemetry.span("megabatch"):
+                        with telemetry.span("forward"):
+                            logits = model.forward_batch(batch, rng=tie_rng)
+                            targets = np.array([float(graph.label) for graph in batch])
+                            loss = bce_with_logits(logits, targets)
+                        with telemetry.span("backward"):
+                            loss.backward()
+                        # Chaos hook: "nan"/"inf" plans poison gradients
+                        # here; the non-finite-norm guard must then skip
+                        # the batch instead of stepping the poison into
+                        # the Adam moments.
+                        inject(
+                            "train.gradients",
+                            context=lambda: [
+                                param.grad
+                                for param in model.parameters()
+                                if param.grad is not None
+                            ],
+                        )
+                        graph_losses = _per_example_bce(np.asarray(logits.data), targets)
+                        epoch_loss += float(graph_losses.sum())
+                        if loss_hist is not None:
+                            for value in graph_losses:
+                                loss_hist.record(float(value))
+                        with telemetry.span("optimizer_step"):
+                            norm = guarded_step(model, optimizer, config.grad_clip)
+                        if not np.isfinite(norm):
+                            result.nonfinite_batches += 1
+                        elif grad_hist is not None:
+                            grad_hist.record(float(norm))
                 result.losses.append(epoch_loss / max(1, len(indices)))
                 result.epochs_run += 1
                 if instrumented:
@@ -260,142 +268,28 @@ def train_model(
     return result
 
 
-def _pergraph_epoch(
-    model: GraphClassifierBase,
-    train_data: GraphDataset,
-    config: TrainConfig,
-    indices: np.ndarray,
-    tie_rng: np.random.Generator | None,
-    optimizer: Adam,
-    result: TrainResult,
-    loss_hist,
-    grad_hist,
-) -> float:
-    """One epoch of the reference loop: accumulate-then-average minibatches.
+def guarded_step(model: GraphClassifierBase, optimizer: Adam, grad_clip: float) -> float:
+    """The one optimizer step of :func:`train_model` and the online learner.
 
-    Every model supports this path; it is also the semantics the
-    mega-batched path must reproduce (to 1e-9) and the fallback for
-    models without ``SUPPORTS_MEGABATCH``.
+    Clips the global gradient norm to ``grad_clip``, steps only if that
+    norm is finite (a NaN/inf batch is skipped rather than poisoning the
+    Adam moments), then zeroes the gradients either way.  Returns the
+    pre-clip norm; a non-finite value tells the caller the step was
+    skipped.
     """
-    epoch_loss = 0.0
-    pending = 0
+    norm = clip_grad_norm(model.parameters(), grad_clip)
+    if np.isfinite(norm):
+        optimizer.step()
     optimizer.zero_grad()
-    for position, index in enumerate(indices):
-        with telemetry.span("batch"):
-            graph = train_data[int(index)]
-            with telemetry.span("forward"):
-                logit = model(graph, rng=tie_rng)
-                loss = bce_with_logits(
-                    logit, np.array([float(graph.label)])
-                )
-            with telemetry.span("backward"):
-                loss.backward()
-            # Chaos hook: "nan"/"inf" plans poison gradients
-            # here; the non-finite-norm guard below must then
-            # skip the batch instead of stepping the poison
-            # into the Adam moments.
-            inject(
-                "train.gradients",
-                context=lambda: [
-                    param.grad
-                    for param in model.parameters()
-                    if param.grad is not None
-                ],
-            )
-            batch_loss = loss.item()
-            epoch_loss += batch_loss
-            if loss_hist is not None:
-                loss_hist.record(batch_loss)
-            pending += 1
-            last = position == len(indices) - 1
-            if pending >= config.batch_size or last:
-                with telemetry.span("optimizer_step"):
-                    if pending > 1:
-                        for param in model.parameters():
-                            if param.grad is not None:
-                                param.grad /= pending
-                    norm = clip_grad_norm(
-                        model.parameters(), config.grad_clip
-                    )
-                    if np.isfinite(norm):
-                        optimizer.step()
-                    else:
-                        result.nonfinite_batches += 1
-                    optimizer.zero_grad()
-                if grad_hist is not None and np.isfinite(norm):
-                    grad_hist.record(float(norm))
-                pending = 0
-    return epoch_loss
-
-
-def _megabatch_epoch(
-    model: GraphClassifierBase,
-    train_data: GraphDataset,
-    config: TrainConfig,
-    indices: np.ndarray,
-    tie_rng: np.random.Generator | None,
-    optimizer: Adam,
-    result: TrainResult,
-    loss_hist,
-    grad_hist,
-) -> float:
-    """One epoch of mega-batched training: one forward/backward per minibatch.
-
-    Each chunk of ``batch_size`` graphs (the same chunks the per-graph
-    loop's accumulation boundaries produce) is packed into a
-    block-diagonal mega-plan and trained as a single batched kernel
-    sequence.  ``bce_with_logits`` over the ``(B,)`` logits is the mean
-    over the batch — exactly the explicit ``grad /= pending`` scale of
-    the accumulation path — and tie shuffling consumes ``tie_rng``
-    member by member in batch order, keeping the rng stream
-    bit-identical to the per-graph loop.
-    """
-    epoch_loss = 0.0
-    optimizer.zero_grad()
-    for chunk_start in range(0, len(indices), config.batch_size):
-        chunk = indices[chunk_start : chunk_start + config.batch_size]
-        batch = [train_data[int(index)] for index in chunk]
-        with telemetry.span("megabatch"):
-            with telemetry.span("forward"):
-                logits = model.forward_batch(batch, rng=tie_rng)
-                targets = np.array([float(graph.label) for graph in batch])
-                loss = bce_with_logits(logits, targets)
-            with telemetry.span("backward"):
-                loss.backward()
-            # Chaos hook: same injection point (and per-batch call
-            # cadence) as the per-graph loop, so existing fault plans
-            # poison mega-batched gradients identically.
-            inject(
-                "train.gradients",
-                context=lambda: [
-                    param.grad
-                    for param in model.parameters()
-                    if param.grad is not None
-                ],
-            )
-            graph_losses = _per_example_bce(np.asarray(logits.data), targets)
-            epoch_loss += float(graph_losses.sum())
-            if loss_hist is not None:
-                for value in graph_losses:
-                    loss_hist.record(float(value))
-            with telemetry.span("optimizer_step"):
-                norm = clip_grad_norm(model.parameters(), config.grad_clip)
-                if np.isfinite(norm):
-                    optimizer.step()
-                else:
-                    result.nonfinite_batches += 1
-                optimizer.zero_grad()
-            if grad_hist is not None and np.isfinite(norm):
-                grad_hist.record(float(norm))
-    return epoch_loss
+    return norm
 
 
 def _per_example_bce(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Per-graph BCE values — raw-array mirror of :func:`bce_with_logits`.
 
-    The mega-batched loss is the batch mean; epoch-loss accounting and
-    the per-batch loss histogram still need the per-graph terms, so
-    they are recomputed off-tape with the same stable formula.
+    The batched loss is the batch mean; epoch-loss accounting and the
+    loss histogram still need the per-graph terms, so they are
+    recomputed off-tape with the same stable formula.
     """
     return (
         np.maximum(logits, 0.0)
@@ -404,22 +298,27 @@ def _per_example_bce(logits: np.ndarray, targets: np.ndarray) -> np.ndarray:
     )
 
 
+#: Graphs per batched forward in :func:`evaluate`.
+EVAL_CHUNK = 32
+
+
 def evaluate(model: GraphClassifierBase, data: GraphDataset, threshold: float = 0.5) -> Metrics:
     """Evaluate ``model`` on ``data``; returns precision/recall/F1.
 
+    Scores :data:`EVAL_CHUNK` graphs per :meth:`forward_batch` call.
     The model's train/eval mode is restored on exit, so evaluating a
     model that is already serving in eval mode does not flip it back to
     training.
     """
     was_training = model.training
     model.eval()
-    predictions = []
+    predictions: list[int] = []
     try:
         with no_grad():
-            for graph in data:
-                logit = model(graph).item()
-                probability = 1.0 / (1.0 + np.exp(-logit))
-                predictions.append(int(probability >= threshold))
+            for start in range(0, len(data), EVAL_CHUNK):
+                logits = model.forward_batch(data.graphs[start : start + EVAL_CHUNK])
+                probabilities = 1.0 / (1.0 + np.exp(-np.asarray(logits.data).reshape(-1)))
+                predictions.extend(int(p >= threshold) for p in probabilities)
     finally:
         if was_training:
             model.train()
@@ -430,8 +329,8 @@ def inference_time_per_graph(model: GraphClassifierBase, data: GraphDataset) -> 
     """Average wall-clock seconds to embed and classify one graph.
 
     Used by the Fig. 6 running-time comparison (the paper reports
-    microseconds per graph).  Restores the model's prior train/eval
-    mode on exit.
+    microseconds per graph), so it scores one graph per call rather
+    than in chunks.  Restores the model's prior train/eval mode on exit.
     """
     was_training = model.training
     model.eval()

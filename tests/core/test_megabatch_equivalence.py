@@ -70,8 +70,9 @@ class TestPropagationEquivalence:
         )
         graphs = ragged_batch()
         mega = MegaPlan.from_graphs(graphs)
-        packed = prop.forward_mega(mega, engine=engine).data
-        singles = np.concatenate([prop(g, engine=engine).data for g in graphs])
+        run = prop.fold if engine == "per-edge" else prop
+        packed = run(mega).data
+        singles = np.concatenate([run(g).data for g in graphs])
         assert_close(packed, singles)
         assert not prop.fallback
 
@@ -80,8 +81,9 @@ class TestPropagationEquivalence:
         prop = TemporalPropagationGRU(WIDTH, 8, time_dim=4, rng=np.random.default_rng(1))
         graphs = ragged_batch()
         mega = MegaPlan.from_graphs(graphs)
-        packed = prop.forward_mega(mega, engine=engine).data
-        singles = np.concatenate([prop(g, engine=engine).data for g in graphs])
+        run = prop.fold if engine == "per-edge" else prop
+        packed = run(mega).data
+        singles = np.concatenate([run(g).data for g in graphs])
         assert_close(packed, singles)
 
     def test_edgeless_member_keeps_encoded_features(self):
@@ -89,7 +91,7 @@ class TestPropagationEquivalence:
         lone = CTDN(2, np.ones((2, WIDTH)), [])
         graphs = [make_graph(0), lone]
         mega = MegaPlan.from_graphs(graphs)
-        packed = prop.forward_mega(mega).data
+        packed = prop(mega).data
         singles = np.concatenate([prop(g).data for g in graphs])
         assert_close(packed, singles)
 
@@ -229,6 +231,6 @@ class TestPropertyBased:
     def test_random_batches_wave_matches_per_edge(self, graphs):
         prop = TemporalPropagationSum(WIDTH, 6, time_dim=3, rng=np.random.default_rng(2))
         mega = mega_plan(graphs)
-        wave = prop.forward_mega(mega, engine="wave").data
-        per_edge = prop.forward_mega(mega, engine="per-edge").data
+        wave = prop(mega).data
+        per_edge = prop.fold(mega).data
         assert_close(wave, per_edge)

@@ -59,9 +59,9 @@ def build_gru(graph, time_dim):
     )
 
 
-def assert_engines_agree(prop, graph, plan=None):
-    wave = prop(graph, plan=plan, engine="wave")
-    fold = prop(graph, plan=plan, engine="per-edge")
+def assert_engines_agree(prop, graph):
+    wave = prop(graph)
+    fold = prop.fold(graph)
     assert wave.shape == fold.shape
     assert np.max(np.abs(wave.data - fold.data), initial=0.0) <= TOLERANCE
 
@@ -95,9 +95,9 @@ def test_gru_wave_matches_fold_without_time(graph):
 def test_engines_agree_on_shared_tie_shuffled_plan(graph, seed):
     # Both engines must consume the SAME tie-shuffled order: build the
     # plan once and hand it to each.
-    plan = graph.propagation_plan(rng=np.random.default_rng(seed))
-    assert_engines_agree(build_sum(graph, "bounded", time_dim=3), graph, plan=plan)
-    assert_engines_agree(build_gru(graph, time_dim=3), graph, plan=plan)
+    mega = graph.as_mega_plan(rng=np.random.default_rng(seed))
+    assert_engines_agree(build_sum(graph, "bounded", time_dim=3), mega)
+    assert_engines_agree(build_gru(graph, time_dim=3), mega)
 
 
 class TestDeterministicEdgeCases:
@@ -127,16 +127,10 @@ class TestDeterministicEdgeCases:
     def test_update_counts_match(self):
         graph = self.stress_graph()
         prop = build_sum(graph, "bounded", time_dim=4)
-        prop(graph, engine="wave")
+        prop(graph)
         wave_count = prop.last_update_count
-        prop(graph, engine="per-edge")
+        prop.fold(graph)
         assert wave_count == prop.last_update_count == graph.num_edges
-
-    def test_unknown_engine_rejected(self):
-        graph = self.stress_graph()
-        prop = build_sum(graph, "bounded", time_dim=4)
-        with pytest.raises(KeyError, match="unknown engine"):
-            prop(graph, engine="vectorised")
 
     @pytest.mark.parametrize("builder", (
         lambda g: build_sum(g, "bounded", time_dim=4),
@@ -149,11 +143,11 @@ class TestDeterministicEdgeCases:
         prop = builder(graph)
         params = list(prop.parameters())
 
-        def grads(engine):
+        def grads(run):
             for p in params:
                 p.zero_grad()
-            (prop(graph, engine=engine) ** 2.0).sum().backward()
+            (run(graph) ** 2.0).sum().backward()
             return [p.grad.copy() for p in params]
 
-        for wave, fold in zip(grads("wave"), grads("per-edge")):
+        for wave, fold in zip(grads(prop), grads(prop.fold)):
             assert np.max(np.abs(wave - fold), initial=0.0) <= 1e-8

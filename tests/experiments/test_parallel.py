@@ -148,13 +148,14 @@ class TestCacheKey:
         spec = make_spec()
         assert trial_cache_key(spec, version="trial-v2") != trial_cache_key(spec)
 
-    def test_version_bumped_for_megabatch_training(self):
-        # trial-v4 switched the training loop to mega-batched
-        # forward/backward passes; cells minted under trial-v3 (per-graph
-        # accumulation) must not be reused.
-        assert CODE_VERSION == "trial-v4"
+    def test_version_bumped_for_batched_baselines(self):
+        # trial-v5 trains the baselines with one batched backward per
+        # minibatch (it was per-graph accumulation) and TrainConfig lost
+        # its megabatch field; cells minted under trial-v4 must not be
+        # reused.
+        assert CODE_VERSION == "trial-v5"
         spec = make_spec()
-        assert trial_cache_key(spec, version="trial-v3") != trial_cache_key(spec)
+        assert trial_cache_key(spec, version="trial-v4") != trial_cache_key(spec)
 
     def test_specs_follow_serial_seed_protocol(self):
         specs = trial_specs("GCN", "HDFS", TINY)
@@ -368,7 +369,7 @@ class TestTrialTelemetry:
         header = rows[0]
         assert header["kind"] == "trial" and header["cell"] == "HDFS/GCN#run0"
         spans = {row["span"] for row in rows if row["kind"] == "span"}
-        assert {"train", "train/epoch", "train/epoch/batch"} <= spans
+        assert {"train", "train/epoch", "train/epoch/megabatch"} <= spans
         metrics = {row["metric"] for row in rows if row["kind"] == "metric"}
         assert "train/batch_loss" in metrics
 

@@ -202,6 +202,18 @@ class TestMegaPlanCache:
         _, misses1 = self.counters()
         assert misses1 == misses0 + 1
 
+    def test_batch_if_repeated_admits_on_second_request(self):
+        cache = MegaPlanCache()
+        graphs = [make_graph(s) for s in range(3)]
+        hits0, misses0 = self.counters()
+        first = cache.batch_if_repeated(graphs)
+        assert len(cache) == 0  # a one-off composition is not kept
+        second = cache.batch_if_repeated(graphs)
+        assert len(cache) == 1 and second is not first
+        assert cache.batch_if_repeated(graphs) is second
+        hits1, misses1 = self.counters()
+        assert (hits1 - hits0, misses1 - misses0) == (1, 2)
+
     def test_clear_empties_the_cache(self):
         cache = MegaPlanCache()
         cache.batch([make_graph(0)])

@@ -102,6 +102,26 @@ class TestBackward:
         (a * c).sum().backward()
         assert c.grad is None
 
+    def test_tape_is_freed_without_the_cycle_collector(self):
+        # A batched minibatch keeps every member's tape alive until its
+        # one backward; those tapes must be freed by reference counting,
+        # not left as reference cycles for the cyclic collector.
+        import gc
+
+        from repro.tensor import ops
+
+        a = Tensor(np.arange(6.0).reshape(2, 3), requires_grad=True)
+        gc.collect()
+        gc.disable()
+        try:
+            loss = ops.tanh(a * 2.0 + 1.0).sum()
+            loss.backward()
+            del loss
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+        assert a.grad is not None
+
 
 class TestNoGrad:
     def test_no_grad_disables_tape(self):
